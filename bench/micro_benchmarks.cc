@@ -15,6 +15,7 @@
 
 #include "core/density_model.h"
 #include "core/mdef.h"
+#include "data/synthetic.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -256,6 +257,30 @@ void BM_MdefEvaluation2d(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_MdefEvaluation2d)->Arg(128)->Arg(512);
+
+// The perf benchmark's mgdd_2d evaluation shape: a 2-d paper-mixture sample
+// of |R| = Arg, Scott bandwidths from sigma = 0.2 (wide enough that most
+// kernels cover the whole 8 x 8 cell grid of r = 0.08, alpha*r = 0.01), and
+// queries drawn from the same stream.
+void BM_MdefEvaluation2dScott(benchmark::State& state) {
+  SyntheticOptions so;
+  so.dimensions = 2;
+  SyntheticMixtureStream stream(so, Rng(20));
+  std::vector<Point> sample;
+  for (int64_t i = 0; i < state.range(0); ++i) sample.push_back(stream.Next());
+  auto kde = KernelDensityEstimator::CreateWithScottBandwidths(sample,
+                                                               {0.2, 0.2});
+  MdefConfig cfg;
+  std::vector<Point> queries;
+  for (int i = 0; i < 1024; ++i) queries.push_back(stream.Next());
+  size_t q = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ComputeMdef(*kde, queries[q], cfg));
+    q = (q + 1) % queries.size();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_MdefEvaluation2dScott)->Arg(512);
 
 void BM_JsDivergenceOnGrid(benchmark::State& state) {
   auto a = KernelDensityEstimator::CreateWithScottBandwidths(

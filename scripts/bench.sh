@@ -42,7 +42,7 @@ echo "=== bench.sh [1/5] micro_benchmarks -> ${OUT_DIR}/BENCH_micro.json ==="
 # still runs when SENSORD_QUICK=0.
 FILTER=""
 if [ "${SENSORD_QUICK}" != "0" ]; then
-  FILTER="--benchmark_filter=(BM_Obs.*|BM_ChainSampleAdd/128|BM_KdeBoxQuery1d/128|BM_KdeBoxQueryPruned2d/512|BM_KdeBoxQueryPruned3d/512|BM_DensityModelRebuild/512)"
+  FILTER="--benchmark_filter=(BM_Obs.*|BM_ChainSampleAdd/128|BM_KdeBoxQuery1d/128|BM_KdeBoxQueryPruned2d/512|BM_KdeBoxQueryPruned3d/512|BM_MdefEvaluation2dScott/512|BM_DensityModelRebuild/512)"
   export BENCHMARK_MIN_TIME="${BENCHMARK_MIN_TIME:-0.05}"
 fi
 build/release/bench/micro_benchmarks ${FILTER} \

@@ -1,5 +1,6 @@
 #include "core/mdef.h"
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -156,7 +157,20 @@ MdefResult ComputeMdef(const KernelDensityEstimator& kde, const Point& p,
   kernels.reserve(d);
   for (double b : bandwidths) kernels.emplace_back(b);
   std::vector<double> cell_mass(total_cells, 0.0);
+  // cell_mass is row-major over the per-dimension cell lists: the last
+  // dimension is contiguous.
+  std::vector<size_t> stride(d, 1);
+  for (size_t dim = d - 1; dim-- > 0;) {
+    stride[dim] = stride[dim + 1] * cell_lo[dim + 1].size();
+  }
   std::vector<std::vector<double>> per_dim(d);
+  for (size_t dim = 0; dim < d; ++dim) {
+    per_dim[dim].resize(cell_lo[dim].size());
+  }
+  // Per row: the [span_lo, span_hi) range of cells with non-zero mass on each
+  // dimension, and the odometer position over dimensions 0 .. d-2.
+  std::vector<size_t> span_lo(d), span_hi(d), pos(d);
+  std::vector<double> outer(d);  // per_dim[dim][pos[dim]] for dim < d-1
 
   // Restrict the sweep to the canonical rows whose kernel support can reach
   // the scanned cells on the KDE's primary axis; the rows skipped are
@@ -178,23 +192,66 @@ MdefResult ComputeMdef(const KernelDensityEstimator& kde, const Point& p,
     }
     if (!overlaps) continue;
 
+    bool any_negative = false;
+    bool any_empty = false;
     for (size_t dim = 0; dim < d; ++dim) {
-      auto& masses = per_dim[dim];
-      masses.assign(cell_lo[dim].size(), 0.0);
-      for (size_t j = 0; j < cell_lo[dim].size(); ++j) {
-        masses[j] = kernels[dim].MassInInterval(t[dim], cell_lo[dim][j],
-                                                cell_lo[dim][j] + side);
+      std::vector<double>& masses = per_dim[dim];
+      span_lo[dim] = masses.size();
+      span_hi[dim] = 0;
+      for (size_t j = 0; j < masses.size(); ++j) {
+        const double m = kernels[dim].MassInInterval(
+            t[dim], cell_lo[dim][j], cell_lo[dim][j] + side);
+        masses[j] = m;
+        if (m == 0.0) continue;
+        span_lo[dim] = std::min(span_lo[dim], j);
+        span_hi[dim] = j + 1;
+        any_negative = any_negative || m < 0.0;
       }
+      any_empty = any_empty || span_hi[dim] == 0;
     }
-    // Outer product accumulation (row-major over dimensions).
-    for (size_t c = 0; c < total_cells; ++c) {
-      double m = 1.0;
-      size_t rest = c;
-      for (size_t dim = d; dim-- > 0 && m > 0.0;) {
-        m *= per_dim[dim][rest % cell_lo[dim].size()];
-        rest /= cell_lo[dim].size();
+    if (any_negative) {
+      // The product below stops at the first non-positive partial and still
+      // adds it, so a negative factor (should IntegralOver ever round a mass
+      // below zero near the edge of the support) reaches cells whose product
+      // a zero factor further down would otherwise clear: walk them all.
+      for (size_t dim = 0; dim < d; ++dim) {
+        span_lo[dim] = 0;
+        span_hi[dim] = per_dim[dim].size();
       }
-      cell_mass[c] += m;
+    } else if (any_empty) {
+      continue;  // every cell's product has a zero factor
+    }
+
+    // Outer product accumulation over the spans: dimensions 0 .. d-2 advance
+    // as an odometer, the last one is the contiguous inner loop. Each cell
+    // gets ((1.0 * m[d-1]) * m[d-2]) ... * m[0], stopping at the first
+    // non-positive partial, exactly as a per-cell walk multiplies. Cells
+    // outside a span get a zero product, and adding 0.0 leaves them as they
+    // are, so skipping them is bit-identical.
+    const double* inner = per_dim[d - 1].data();
+    for (size_t dim = 0; dim + 1 < d; ++dim) pos[dim] = span_lo[dim];
+    for (;;) {
+      size_t base = 0;
+      for (size_t dim = 0; dim + 1 < d; ++dim) {
+        base += pos[dim] * stride[dim];
+        outer[dim] = per_dim[dim][pos[dim]];
+      }
+      double* out = cell_mass.data() + base;
+      const double next = outer[d - 2];  // kept in a register across stores
+      for (size_t j = span_lo[d - 1]; j < span_hi[d - 1]; ++j) {
+        double m = inner[j];
+        if (m > 0.0) {
+          m *= next;
+          for (size_t dim = d - 2; dim-- > 0 && m > 0.0;) m *= outer[dim];
+        }
+        out[j] += m;
+      }
+      size_t dim = d - 1;
+      while (dim > 0 && ++pos[dim - 1] == span_hi[dim - 1]) {
+        pos[dim - 1] = span_lo[dim - 1];
+        --dim;
+      }
+      if (dim == 0) break;
     }
   }
 

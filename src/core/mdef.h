@@ -56,9 +56,13 @@ MdefResult ComputeMdef(const DistributionEstimator& model, const Point& p,
 
 /// Fast path for kernel estimators: exploits the product-kernel structure —
 /// each kernel's mass over a grid cell factors into per-dimension interval
-/// masses, so the whole cell grid costs O(|R| * (sum_d cells_d + prod_d
-/// cells_d)) instead of O(|R| * d * prod_d cells_d) box queries. Identical
-/// statistics to the generic overload up to floating-point association.
+/// masses, and only the span of cells with non-zero mass on every dimension
+/// is walked. For the |R'| candidate rows that can reach the grid the scan
+/// costs O(|R'| * (sum_d cells_d + prod_d span_d)) instead of
+/// O(|R| * d * prod_d cells_d) box queries. The results are bit-identical to
+/// the previous kernel, which decoded every grid cell of every row, and match
+/// the generic overload up to floating-point association. In 1-d it defers
+/// to the generic overload.
 MdefResult ComputeMdef(const class KernelDensityEstimator& kde,
                        const Point& p, const MdefConfig& config);
 

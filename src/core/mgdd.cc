@@ -317,14 +317,23 @@ bool MgddLeafNode::degraded() const {
 const KernelDensityEstimator& MgddLeafNode::GlobalEstimator() const {
   SENSORD_CHECK(HasGlobalModel());
   if (!cached_global_.has_value() || cached_version_ != replica_version_) {
-    std::vector<Point> sample;
-    sample.reserve(global_sample_.size());
+    // The zero per-point-allocation rebuild of DensityModel::Estimator():
+    // the valid slots go straight into the warm scratch buffer, and the
+    // displaced estimator's buffer becomes the next rebuild's scratch.
+    const size_t d = global_stddevs_.size();
+    replica_scratch_.Reset(d);
+    replica_scratch_.Reserve(global_sample_.size());
     for (size_t i = 0; i < global_sample_.size(); ++i) {
-      if (slot_valid_[i]) sample.push_back(global_sample_[i]);
+      if (!slot_valid_[i]) continue;
+      SENSORD_CHECK_EQ(global_sample_[i].size(), d);
+      replica_scratch_.Append(global_sample_[i]);
     }
     auto built = KernelDensityEstimator::CreateWithScottBandwidths(
-        std::move(sample), global_stddevs_);
+        std::move(replica_scratch_), global_stddevs_);
     SENSORD_CHECK_OK(built.status());
+    if (cached_global_.has_value()) {
+      replica_scratch_ = std::move(*cached_global_).ReleaseSampleStorage();
+    }
     cached_global_.emplace(std::move(built).value());
     cached_version_ = replica_version_;
   }

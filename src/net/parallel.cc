@@ -64,6 +64,9 @@ void WorkerPool::WorkerMain() {
       });
       if (shutdown_) return;
       seen_generation = generation_;
+      // Woken only after Run() finished the batch without this worker: the
+      // cursor may already belong to the next batch, so claim nothing.
+      if (task_ == nullptr) continue;
       task = task_;
       count = count_;
       ++inflight_;

@@ -1,7 +1,5 @@
 #include "stats/kernel.h"
 
-#include <algorithm>
-
 #include "util/check.h"
 
 namespace sensord {
@@ -17,16 +15,6 @@ double EpanechnikovKernel::Value(double x) const {
   const double u = x * inv_bandwidth_;
   if (u <= -1.0 || u >= 1.0) return 0.0;
   return scale_ * (1.0 - u * u);
-}
-
-double EpanechnikovKernel::IntegralOver(double a, double b) const {
-  SENSORD_DCHECK_LE(a, b);
-  // Antiderivative of the unit-bandwidth profile (3/4)(1 - u^2) is
-  // F(u) = (3/4)(u - u^3/3); F(-1) = -1/2 and F(1) = 1/2.
-  const double ua = std::clamp(a * inv_bandwidth_, -1.0, 1.0);
-  const double ub = std::clamp(b * inv_bandwidth_, -1.0, 1.0);
-  auto antideriv = [](double u) { return 0.75 * (u - u * u * u / 3.0); };
-  return antideriv(ub) - antideriv(ua);
 }
 
 }  // namespace sensord

@@ -2,11 +2,16 @@
 // invariants every estimator implementation must satisfy, checked across
 // randomized instances and parameter sweeps.
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
 #include <memory>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "baseline/brute_force_d.h"
+#include "core/mdef.h"
 #include "data/synthetic.h"
 #include "stats/divergence.h"
 #include "stats/empirical.h"
@@ -429,6 +434,166 @@ TEST_P(KdePruningBitIdentityTest, PrunedPathsMatchFullSweepBitwise) {
 
 INSTANTIATE_TEST_SUITE_P(Dims, KdePruningBitIdentityTest,
                          ::testing::Values(1, 2, 3));
+
+// ---------------------------------------------------------------------
+// The factored MDEF cell scan (DESIGN.md §13) walks each kernel's cells as
+// an odometer over per-dimension spans of non-zero mass. Every cell must
+// receive the same product, in the same order, as the per-cell walk that
+// decoded each cell index with div/mod — so every MdefResult field must be
+// *bit-identical* to that walk, kept here as the reference.
+// ---------------------------------------------------------------------
+
+MdefResult ReferenceDivModMdef(const KernelDensityEstimator& kde,
+                               const Point& p, const MdefConfig& config) {
+  const size_t d = kde.dimensions();
+  const double side = 2.0 * config.counting_radius;
+  const double r = config.sampling_radius;
+  const size_t cells_per_dim = static_cast<size_t>(std::ceil(1.0 / side));
+  std::vector<std::vector<double>> cell_lo(d);
+  for (size_t dim = 0; dim < d; ++dim) {
+    const long first = static_cast<long>(std::floor((p[dim] - r) / side));
+    const long last = static_cast<long>(std::floor((p[dim] + r) / side));
+    for (long j = std::max(0L, first);
+         j <= last && j < static_cast<long>(cells_per_dim); ++j) {
+      const double a = static_cast<double>(j) * side;
+      if (std::fabs(a + 0.5 * side - p[dim]) > r) continue;
+      cell_lo[dim].push_back(a);
+    }
+  }
+  size_t total_cells = 1;
+  for (size_t dim = 0; dim < d; ++dim) total_cells *= cell_lo[dim].size();
+  if (total_cells == 0) {
+    return MdefFromMasses(kde.BallProbability(p, config.counting_radius),
+                          0.0, 0.0, 0.0, 0, config);
+  }
+  const std::vector<double> bandwidths = kde.bandwidths();
+  std::vector<EpanechnikovKernel> kernels;
+  for (double b : bandwidths) kernels.emplace_back(b);
+  std::vector<double> cell_mass(total_cells, 0.0);
+  std::vector<std::vector<double>> per_dim(d);
+  const size_t axis = kde.primary_axis();
+  const auto [row_begin, row_end] = kde.CandidateRows(
+      cell_lo[axis].front(), cell_lo[axis].back() + side);
+  for (size_t row = row_begin; row < row_end; ++row) {
+    const double* t = kde.sample().Row(row);
+    bool overlaps = true;
+    for (size_t dim = 0; dim < d && overlaps; ++dim) {
+      overlaps = t[dim] + bandwidths[dim] > cell_lo[dim].front() &&
+                 t[dim] - bandwidths[dim] < cell_lo[dim].back() + side;
+    }
+    if (!overlaps) continue;
+    for (size_t dim = 0; dim < d; ++dim) {
+      per_dim[dim].assign(cell_lo[dim].size(), 0.0);
+      for (size_t j = 0; j < cell_lo[dim].size(); ++j) {
+        per_dim[dim][j] = kernels[dim].MassInInterval(
+            t[dim], cell_lo[dim][j], cell_lo[dim][j] + side);
+      }
+    }
+    for (size_t c = 0; c < total_cells; ++c) {
+      double m = 1.0;
+      size_t rest = c;
+      for (size_t dim = d; dim-- > 0 && m > 0.0;) {
+        m *= per_dim[dim][rest % cell_lo[dim].size()];
+        rest /= cell_lo[dim].size();
+      }
+      cell_mass[c] += m;
+    }
+  }
+  const double inv_n = 1.0 / static_cast<double>(kde.sample_size());
+  double sum1 = 0.0, sum2 = 0.0, sum3 = 0.0;
+  for (double m : cell_mass) {
+    const double s = m * inv_n;
+    sum1 += s;
+    sum2 += s * s;
+    sum3 += s * s * s;
+  }
+  return MdefFromMasses(kde.BallProbability(p, config.counting_radius), sum1,
+                        sum2, sum3, total_cells, config);
+}
+
+void ExpectBitIdentical(const MdefResult& got, const MdefResult& want,
+                        const std::string& where) {
+  const auto bits = [](double v) { return std::bit_cast<uint64_t>(v); };
+  EXPECT_EQ(bits(got.counting_mass), bits(want.counting_mass)) << where;
+  EXPECT_EQ(bits(got.avg_mass), bits(want.avg_mass)) << where;
+  EXPECT_EQ(bits(got.sigma_mass), bits(want.sigma_mass)) << where;
+  EXPECT_EQ(bits(got.mdef), bits(want.mdef)) << where;
+  EXPECT_EQ(bits(got.sigma_mdef), bits(want.sigma_mdef)) << where;
+  EXPECT_EQ(got.is_outlier, want.is_outlier) << where;
+  EXPECT_EQ(got.cells_considered, want.cells_considered) << where;
+}
+
+class MdefKernelBitIdentityTest : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(MdefKernelBitIdentityTest, FactoredScanMatchesDivModWalkBitwise) {
+  const size_t d = GetParam();
+  MdefConfig config;  // r = 0.08, alpha*r = 0.01: an 8-9 cell grid per axis
+  config.k_sigma = 1.0;
+  size_t empty_sweeps = 0;
+  for (uint64_t seed = 1; seed <= 50; ++seed) {
+    Rng rng(seed * 131 + d);
+    // Clustered bulk plus uniform strays in [0.1, 0.5]^d, so [0.8, 1]^d
+    // holds no sample point.
+    const size_t n = 64 + static_cast<size_t>(rng.UniformUint64(448));
+    std::vector<Point> sample;
+    for (size_t i = 0; i < n; ++i) {
+      Point t(d);
+      for (double& x : t) {
+        x = rng.Bernoulli(0.2)
+                ? rng.UniformDouble(0.1, 0.5)
+                : Clamp(rng.Gaussian(0.3, 0.04), 0.1, 0.5);
+      }
+      sample.push_back(std::move(t));
+    }
+    // Wide: Scott bandwidths from sigma = 0.2, so most kernels cover every
+    // cell. Narrow: a fraction of a cell up to a few cells, so spans trim.
+    auto wide = KernelDensityEstimator::CreateWithScottBandwidths(
+        sample, std::vector<double>(d, 0.2));
+    ASSERT_TRUE(wide.ok());
+    std::vector<double> narrow_b(d);
+    for (double& b : narrow_b) b = rng.UniformDouble(0.005, 0.05);
+    auto narrow = KernelDensityEstimator::Create(sample, narrow_b);
+    ASSERT_TRUE(narrow.ok());
+
+    std::vector<Point> queries;
+    for (int q = 0; q < 6; ++q) {  // in and around the bulk
+      Point p(d);
+      for (double& x : p) x = rng.UniformDouble(0.05, 0.55);
+      queries.push_back(std::move(p));
+    }
+    for (int q = 0; q < 4; ++q) {  // domain edges: clamped cell lists
+      Point p(d);
+      for (double& x : p) {
+        const double edge[] = {0.0, 0.004, 0.02, 0.97, 0.995, 1.0};
+        x = edge[rng.UniformUint64(6)];
+      }
+      queries.push_back(std::move(p));
+    }
+    Point outside(d);  // beyond every kernel's support: an empty sweep
+    for (double& x : outside) x = rng.UniformDouble(0.8, 0.9);
+    queries.push_back(outside);
+
+    for (const KernelDensityEstimator* kde : {&*wide, &*narrow}) {
+      for (const Point& p : queries) {
+        const MdefResult want = ReferenceDivModMdef(*kde, p, config);
+        const MdefResult got = ComputeMdef(*kde, p, config);
+        ExpectBitIdentical(got, want,
+                           "seed " + std::to_string(seed) + " d " +
+                               std::to_string(d) + " p0 " +
+                               std::to_string(p[0]) + " wide " +
+                               std::to_string(kde == &*wide));
+        if (&p == &queries.back() && kde == &*narrow) {
+          empty_sweeps += want.cells_considered > 0 && want.avg_mass == 0.0;
+        }
+      }
+    }
+  }
+  // The outside-support case really swept no mass (not vacuously empty).
+  EXPECT_EQ(empty_sweeps, 50u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Dims, MdefKernelBitIdentityTest,
+                         ::testing::Values(2, 3));
 
 }  // namespace
 }  // namespace sensord
