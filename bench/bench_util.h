@@ -35,15 +35,6 @@ inline long EnvLong(const char* name, long fallback) {
   return v == nullptr ? fallback : std::atol(v);
 }
 
-/// The worker-thread count this process's simulators resolve to, mirroring
-/// SimulatorOptions{.threads = 0}: SENSORD_THREADS when set to a sane
-/// value, else 1. Recorded in every BENCH_*.json so perf records from
-/// parallel-engine runs are attributable.
-inline int ResolvedThreadCount() {
-  const long v = EnvLong("SENSORD_THREADS", 1);
-  return (v >= 1 && v <= 256) ? static_cast<int>(v) : 1;
-}
-
 /// Prints a section header.
 inline void Header(const std::string& title) {
   std::printf("\n=== %s ===\n", title.c_str());
@@ -99,7 +90,6 @@ class RunTelemetry {
       path += fallback;
     }
     const obs::BenchMetadata metadata = {
-        {"threads", std::to_string(ResolvedThreadCount())},
         {"quick", QuickMode() ? "1" : "0"},
     };
     const Status status =

@@ -16,17 +16,6 @@
 #include "bench_util.h"
 #include "eval/experiment.h"
 
-namespace {
-
-// Wall-clock of the full-scale run on the repository's seed revision
-// (single-threaded, default sizes). The recorded speedup_vs_seed tracks
-// the cumulative effect of the event-queue, stream-summary, and batched
-// box-query optimisations; only meaningful when the default workload runs
-// (not SENSORD_QUICK / size overrides).
-constexpr double kSeedWallSeconds = 113.0;
-
-}  // namespace
-
 int main() {
   using namespace sensord;
   bench::Header("Figure 11: messages per second vs number of sensors");
@@ -83,17 +72,6 @@ int main() {
                                     wall_start)
           .count();
   telemetry.AddResult("wall_seconds", wall_seconds);
-  telemetry.AddResult("threads",
-                      static_cast<double>(bench::ResolvedThreadCount()));
-  const bool default_workload = !bench::QuickMode() &&
-                                bench::EnvLong("SENSORD_WINDOW", 10240) ==
-                                    10240 &&
-                                bench::EnvLong("SENSORD_DURATION", 600) == 600;
-  if (default_workload && wall_seconds > 0.0) {
-    telemetry.AddResult("speedup_vs_seed", kSeedWallSeconds / wall_seconds);
-  }
-  std::printf("wall-clock: %.1f s%s\n", wall_seconds,
-              default_workload ? " (full-scale: speedup_vs_seed recorded)"
-                               : "");
+  std::printf("wall-clock: %.1f s\n", wall_seconds);
   return 0;
 }

@@ -18,9 +18,8 @@
 #     validated and summarized by tools/trace/trace_report.py
 #
 # SENSORD_QUICK=1 (default here) keeps the run CI-sized; set SENSORD_QUICK=0
-# for paper-scale numbers. SENSORD_THREADS selects the simulator's
-# deterministic parallel engine (DESIGN.md §12) and is recorded in every
-# BENCH_*.json "meta" section. OUT_DIR defaults to the repo root.
+# for paper-scale numbers; the choice is recorded in every BENCH_*.json
+# "meta" section. OUT_DIR defaults to the repo root.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -29,8 +28,7 @@ JOBS="${JOBS:-$(nproc)}"
 OUT_DIR="${OUT_DIR:-.}"
 mkdir -p "${OUT_DIR}"
 export SENSORD_QUICK="${SENSORD_QUICK:-1}"
-export SENSORD_THREADS="${SENSORD_THREADS:-1}"
-echo "bench.sh: SENSORD_QUICK=${SENSORD_QUICK} SENSORD_THREADS=${SENSORD_THREADS}"
+echo "bench.sh: SENSORD_QUICK=${SENSORD_QUICK}"
 
 cmake --preset release
 cmake --build --preset release -j "${JOBS}" \

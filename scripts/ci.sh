@@ -15,27 +15,16 @@
 #   3. ASan/UBSan preset: build + ctest minus the soak label (soak sweeps
 #      are long under ASan; they get their own sanitizer pass in step 4),
 #      via scripts/check.sh.
-#   4. TSan preset: build + the soak-labelled suite at SENSORD_THREADS=8,
-#      so the staged parallel engine's worker pool runs under the race
-#      detector. The soak tests drive the full simulator (transport
-#      retries, fault schedules, crash windows, amnesia checkpoint/restore)
-#      for thousands of virtual seconds — the highest-value place to look
-#      for data races. sim_parallel_test rides along in the same pass: it
-#      exercises the worker pool, the OpLog staging layer, and the
-#      1/2/8-thread byte-identity matrix directly.
-#      SENSORD_SOAK_SEEDS widens the crash-recovery seed sweep (default 4;
-#      nightly runs export a larger value).
-#   5. Thread-parity gate: the deterministic parallel engine promises
-#      byte-identical artifacts at any worker count (DESIGN.md §12). The
-#      golden e2e scenario must match the committed golden at both
-#      SENSORD_THREADS=1 and =8, the seeded trace_outliers demo's
-#      stdout + causal-trace + flight-recorder JSONL are diffed
-#      byte-for-byte between a 1-thread and an 8-thread run, and the
-#      golden is regenerated at both thread counts and diffed against
-#      itself and the committed file.
-#   6. clang-tidy over src tests bench examples via scripts/lint.sh
+#   4. TSan preset: build + the soak-labelled suite, which drives the full
+#      simulator (transport retries, fault schedules, crash windows, amnesia
+#      checkpoint/restore) for thousands of virtual seconds, plus the
+#      metrics registry's concurrent-writer tests — the only tests that
+#      spawn threads — so its lock-free counters and histograms run under
+#      the race detector. SENSORD_SOAK_SEEDS widens the crash-recovery seed
+#      sweep (default 4; nightly runs export a larger value).
+#   5. clang-tidy over src tests bench examples via scripts/lint.sh
 #      (skipped with a notice if clang-tidy is not installed).
-#   7. Quick bench run via scripts/bench.sh — proves the bench harnesses run
+#   6. Quick bench run via scripts/bench.sh — proves the bench harnesses run
 #      and leave valid BENCH_*.json artifacts, plus the causal-trace /
 #      flight-recorder JSONL pair, re-validated here with
 #      tools/trace/trace_report.py --validate (strict: malformed lines,
@@ -47,7 +36,7 @@ cd "$(dirname "$0")/.."
 
 JOBS="${JOBS:-$(nproc)}"
 
-echo "=== ci.sh [1/7] lint-invariants (sensord_lint + thread-safety) ==="
+echo "=== ci.sh [1/6] lint-invariants (sensord_lint + thread-safety) ==="
 cmake --preset release >/dev/null   # refresh compile_commands.json only
 python3 tools/lint/sensord_lint.py \
     --compdb build/release/compile_commands.json
@@ -76,70 +65,27 @@ else
        "annotation completeness)" >&2
 fi
 
-echo "=== ci.sh [2/7] release build + ctest ==="
+echo "=== ci.sh [2/6] release build + ctest ==="
 cmake --preset release
 cmake --build --preset release -j "${JOBS}"
 ctest --test-dir build/release --output-on-failure -j "${JOBS}"
 
-echo "=== ci.sh [3/7] asan-ubsan build + ctest (minus soak) ==="
+echo "=== ci.sh [3/6] asan-ubsan build + ctest (minus soak) ==="
 scripts/check.sh -LE soak
 
-echo "=== ci.sh [4/7] tsan build + soak suite at 8 threads ==="
+echo "=== ci.sh [4/6] tsan build + soak suite + concurrent metrics ==="
 export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1:second_deadlock_stack=1}"
 export SENSORD_SOAK_SEEDS="${SENSORD_SOAK_SEEDS:-4}"
 cmake --preset tsan
 cmake --build --preset tsan -j "${JOBS}"
-# SENSORD_THREADS=8 routes every simulator the soak seeds construct through
-# the staged parallel engine, putting the worker handoff and merge path in
-# front of TSan; the tests' assertions are unchanged because the engine is
-# output-identical at any worker count.
-SENSORD_THREADS=8 ctest --test-dir build/tsan --output-on-failure \
-    -j "${JOBS}" -L soak
-SENSORD_THREADS=8 ctest --test-dir build/tsan --output-on-failure \
-    -R '^(SimParallelTest|WorkerPoolTest|OpLogTest)\.'
+ctest --test-dir build/tsan --output-on-failure -j "${JOBS}" -L soak
+ctest --test-dir build/tsan --output-on-failure \
+    -R '^(CounterTest|HistogramTest)\.Concurrent'
 
-echo "=== ci.sh [5/7] thread-parity gate (SENSORD_THREADS=1 vs 8) ==="
-# Gate (a): the golden e2e scenario must reproduce the committed golden
-# byte-for-byte at both thread counts — a divergence names the first
-# differing line.
-SENSORD_THREADS=1 build/release/tests/golden_e2e_test >/dev/null
-SENSORD_THREADS=8 build/release/tests/golden_e2e_test >/dev/null
-# Gate (b): direct 1-vs-8 diff of a full artifact set (stdout, causal
-# trace, flight recorder) from the seeded trace_outliers demo.
-PARITY_DIR="$(mktemp -d)"
-trap 'rm -rf "${PARITY_DIR}"' EXIT
-for n in 1 8; do
-  SENSORD_THREADS="${n}" \
-  SENSORD_TRACE_JSONL="${PARITY_DIR}/trace_${n}.jsonl" \
-  SENSORD_FLIGHT_JSONL="${PARITY_DIR}/flight_${n}.jsonl" \
-      build/release/examples/trace_outliers > "${PARITY_DIR}/stdout_${n}.txt"
-done
-diff -u "${PARITY_DIR}/stdout_1.txt" "${PARITY_DIR}/stdout_8.txt"
-diff -u "${PARITY_DIR}/trace_1.jsonl" "${PARITY_DIR}/trace_8.jsonl"
-diff -u "${PARITY_DIR}/flight_1.jsonl" "${PARITY_DIR}/flight_8.jsonl"
-# Gate (c): regenerate the golden itself at both thread counts and diff the
-# regenerated artifacts against each other and against the committed file —
-# catches a parity break that gates (a)/(b) would miss if the committed
-# golden were stale. The committed file is restored afterwards (and by the
-# trap on failure).
-GOLDEN="tests/golden/e2e_outliers.txt"
-cp "${GOLDEN}" "${PARITY_DIR}/golden_committed.txt"
-trap 'cp -f "${PARITY_DIR}/golden_committed.txt" tests/golden/e2e_outliers.txt; rm -rf "${PARITY_DIR}"' EXIT
-for n in 1 8; do
-  SENSORD_THREADS="${n}" SENSORD_REGEN_GOLDEN=1 \
-      build/release/tests/golden_e2e_test \
-      --gtest_filter='GoldenE2eTest.DetectionHistoryMatchesGolden' >/dev/null
-  cp "${GOLDEN}" "${PARITY_DIR}/golden_regen_${n}.txt"
-  cp -f "${PARITY_DIR}/golden_committed.txt" "${GOLDEN}"
-done
-diff -u "${PARITY_DIR}/golden_regen_1.txt" "${PARITY_DIR}/golden_regen_8.txt"
-diff -u "${PARITY_DIR}/golden_committed.txt" "${PARITY_DIR}/golden_regen_1.txt"
-echo "thread-parity: golden + trace + flight artifacts identical at 1 and 8 threads"
-
-echo "=== ci.sh [6/7] clang-tidy ==="
+echo "=== ci.sh [5/6] clang-tidy ==="
 scripts/lint.sh
 
-echo "=== ci.sh [7/7] quick bench + BENCH_*.json + trace validation ==="
+echo "=== ci.sh [6/6] quick bench + BENCH_*.json + trace validation ==="
 SENSORD_QUICK=1 scripts/bench.sh
 # bench.sh already validates its own artifacts; gate on them here explicitly
 # so a future bench.sh refactor cannot silently drop the check.

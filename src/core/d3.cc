@@ -15,7 +15,6 @@
 #include "obs/trace_context.h"
 
 #include "util/check.h"
-#include "util/staging.h"
 
 namespace sensord {
 namespace {
@@ -174,9 +173,7 @@ void D3LeafNode::OnReading(const Point& value) {
     event.provenance = OutlierProvenance{
         estimate, options_.outlier.neighbor_threshold, seq,
         /*staleness_s=*/0.0, trace};
-    // Observer callbacks append to user-owned history in detection order;
-    // staged under the parallel engine (util/staging.h).
-    RunOrStage([obs = observer_, event]() { obs->OnOutlierDetected(event); });
+    observer_->OnOutlierDetected(event);
   }
   if (parent() != kNoNode) {
     Message msg;
@@ -523,9 +520,7 @@ void D3ParentNode::HandleOutlierReport(const Message& incoming,
     event.provenance = OutlierProvenance{
         estimate, options_.outlier.neighbor_threshold, model_.total_seen(),
         staleness, trace};
-    // Observer callbacks append to user-owned history in detection order;
-    // staged under the parallel engine (util/staging.h).
-    RunOrStage([obs = observer_, event]() { obs->OnOutlierDetected(event); });
+    observer_->OnOutlierDetected(event);
   }
   if (parent() != kNoNode) {
     Message msg;

@@ -121,8 +121,8 @@ class DensityModel {
   // per-point allocations. coord_scratch_ serves the robust-bandwidth IQR
   // the same way. mutable for the same reason as cached_: rebuilds happen
   // inside const queries, and a DensityModel is single-owner state (the
-  // parallel engine runs handlers of distinct nodes, never one model from
-  // two threads — DESIGN.md §12).
+  // simulator's event loop is serial, so no model is shared across
+  // threads).
   mutable FlatPoints rebuild_scratch_;
   mutable std::vector<double> coord_scratch_;
 };

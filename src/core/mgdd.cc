@@ -13,7 +13,6 @@
 #include "stats/divergence.h"
 
 #include "util/check.h"
-#include "util/staging.h"
 
 namespace sensord {
 namespace {
@@ -161,10 +160,7 @@ void MgddLeafNode::OnReading(const Point& value) {
         event.degraded = degraded_state_;
         event.provenance = OutlierProvenance{
             result.mdef, threshold, replica_version_, staleness, trace};
-        // Observer callbacks append to user-owned history in detection
-        // order; staged under the parallel engine (util/staging.h).
-        RunOrStage(
-            [obs = observer_, event]() { obs->OnOutlierDetected(event); });
+        observer_->OnOutlierDetected(event);
       }
     }
   }

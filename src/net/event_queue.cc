@@ -39,11 +39,6 @@ void EventQueue::SiftDown(size_t i) {
 }
 
 void EventQueue::ScheduleAt(SimTime t, std::function<void()> fn) {
-  ScheduleAtTagged(t, EventKind::kOther, kNoEventNode, std::move(fn));
-}
-
-void EventQueue::ScheduleAtTagged(SimTime t, EventKind kind, uint32_t node,
-                                  std::function<void()> fn) {
   SENSORD_DCHECK_GE(t, now_);
   uint32_t slot;
   if (!free_slots_.empty()) {
@@ -54,7 +49,7 @@ void EventQueue::ScheduleAtTagged(SimTime t, EventKind kind, uint32_t node,
     slot = static_cast<uint32_t>(slots_.size());
     slots_.push_back(std::move(fn));
   }
-  heap_.push_back(HeapItem{t, next_seq_++, slot, node, kind});
+  heap_.push_back(HeapItem{t, next_seq_++, slot});
   SiftUp(heap_.size() - 1);
 }
 
@@ -76,19 +71,6 @@ void EventQueue::RunOne() {
   free_slots_.push_back(top.slot);
   now_ = top.time;
   fn();
-}
-
-std::function<void()> EventQueue::PopFront() {
-  SENSORD_DCHECK(!heap_.empty());
-  const HeapItem top = heap_.front();
-  heap_.front() = heap_.back();
-  heap_.pop_back();
-  if (!heap_.empty()) SiftDown(0);
-  std::function<void()> fn = std::move(slots_[top.slot]);
-  slots_[top.slot] = nullptr;
-  free_slots_.push_back(top.slot);
-  now_ = top.time;
-  return fn;
 }
 
 uint64_t EventQueue::RunUntil(SimTime until) {

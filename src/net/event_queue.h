@@ -10,10 +10,8 @@
 // runs exactly reproducible.
 //
 // Layout: the heap orders small POD keys {time, seq, slot}; the callbacks
-// live in a stable side pool indexed by slot, so heap sifts move 32-byte
-// entries instead of std::function objects. Events may carry a tag (kind +
-// node) so the Simulator's deterministic parallel engine (DESIGN.md §12) can
-// peek at what fires next without popping it.
+// live in a stable side pool indexed by slot, so heap sifts move 24-byte
+// entries instead of std::function objects.
 
 #ifndef SENSORD_NET_EVENT_QUEUE_H_
 #define SENSORD_NET_EVENT_QUEUE_H_
@@ -31,25 +29,8 @@ using SimTime = double;
 /// A time-ordered queue of callbacks.
 class EventQueue {
  public:
-  /// Classification of a pending event, used by the parallel engine to
-  /// decide which events are safe to group into one sharded tick. Untagged
-  /// events default to kOther, which is always executed serially.
-  enum class EventKind : uint8_t {
-    kOther = 0,    // timers, checkpoints, restarts — run serially
-    kDeliver = 1,  // message delivery to `node`
-    kReading = 2,  // periodic sensor reading at `node`
-  };
-
-  /// Node id carried by untagged events.
-  static constexpr uint32_t kNoEventNode = ~uint32_t{0};
-
   /// Schedules `fn` to run at absolute time `t`. Pre: t >= Now().
   void ScheduleAt(SimTime t, std::function<void()> fn);
-
-  /// Schedules `fn` at absolute time `t`, tagged for the parallel engine
-  /// with the event class and the node whose handler it will run.
-  void ScheduleAtTagged(SimTime t, EventKind kind, uint32_t node,
-                        std::function<void()> fn);
 
   /// Schedules `fn` to run `delay` seconds from now. Pre: delay >= 0.
   void ScheduleAfter(SimTime delay, std::function<void()> fn);
@@ -63,19 +44,8 @@ class EventQueue {
   /// Number of pending events.
   size_t Size() const { return heap_.size(); }
 
-  /// Timestamp / tag of the earliest pending event. Pre: !Empty().
-  SimTime NextTime() const { return heap_.front().time; }
-  EventKind NextKind() const { return heap_.front().kind; }
-  uint32_t NextNode() const { return heap_.front().node; }
-
   /// Fires the earliest pending event. Pre: !Empty().
   void RunOne();
-
-  /// Pops the earliest pending event and returns its callback without
-  /// firing it, advancing the clock to its timestamp exactly as RunOne
-  /// would. The parallel engine uses this to collect one tick's events into
-  /// a batch before running them. Pre: !Empty().
-  std::function<void()> PopFront();
 
   /// Fires events until the queue drains or simulated time would exceed
   /// `until`. Events scheduled exactly at `until` still run. Returns the
@@ -85,20 +55,11 @@ class EventQueue {
   /// Fires events until the queue drains. Returns the number fired.
   uint64_t RunAll();
 
-  /// Advances the clock to `t` without firing anything (no-op if t <= Now()).
-  /// Used by drivers that drain events themselves and then settle the clock
-  /// at the end of the run window, mirroring RunUntil's final advance.
-  void AdvanceTo(SimTime t) {
-    if (now_ < t) now_ = t;
-  }
-
  private:
   struct HeapItem {
     SimTime time;
     uint64_t seq;   // FIFO tie-break for equal timestamps
     uint32_t slot;  // index into slots_
-    uint32_t node;
-    EventKind kind;
   };
 
   // Min-heap order: earlier time first, then lower seq.

@@ -1,10 +1,8 @@
 #include "net/network.h"
 
-#include <cstdlib>
 #include <limits>
 #include <utility>
 
-#include "net/parallel.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -15,19 +13,6 @@ namespace {
 
 double SimulatorVirtualNow(void* ctx) {
   return static_cast<Simulator*>(ctx)->Now();
-}
-
-// The worker-thread count: an explicit option wins; otherwise the
-// SENSORD_THREADS environment variable (the knob scripts/bench.sh and the
-// CI thread-parity gate use); otherwise the classic serial loop.
-int ResolveThreads(int requested) {
-  if (requested > 0) return requested;
-  if (const char* env = std::getenv("SENSORD_THREADS");
-      env != nullptr && *env != '\0') {
-    const long parsed = std::strtol(env, nullptr, 10);
-    if (parsed >= 1 && parsed <= 256) return static_cast<int>(parsed);
-  }
-  return 1;
 }
 
 struct RecoveryMetrics {
@@ -54,11 +39,9 @@ const RecoveryMetrics& Metrics() {
 
 Simulator::Simulator(SimulatorOptions options)
     : options_(options),
-      threads_(ResolveThreads(options.threads)),
       faults_(options.fault_seed),
       transport_(new ReliableTransport(this, options.transport)),
       loss_rng_(options.loss_seed) {
-  if (threads_ > 1) pool_.reset(new WorkerPool(threads_));
   obs::SetTraceVirtualClock(&SimulatorVirtualNow, this);
   // Amnesia crashes need a restart event at the interval's end; omission
   // crashes recover implicitly (IsNodeUp flips) and keep their memory.
@@ -135,38 +118,15 @@ std::vector<NodeId> Simulator::Instantiate(
 void Simulator::Send(Message msg) {
   SENSORD_CHECK_LT(msg.from, nodes_.size());
   SENSORD_CHECK_LT(msg.to, nodes_.size());
-  // A send from a handler running on a worker thread is staged and executed
-  // at the tick barrier in event order, so the transport's sequence stamps,
-  // the loss process and the delivery schedule all consume their state
-  // exactly as the serial loop would.
-  if (OpLog* log = OpLog::Current()) {
-    log->Push([this, m = std::move(msg)]() mutable { SendNow(std::move(m)); });
-    return;
-  }
-  SendNow(std::move(msg));
-}
-
-void Simulator::SendNow(Message msg) {
   if (!faults_.IsNodeUp(msg.from, Now())) return;  // dead radio: no send
   if (options_.transport.reliable && msg.kind != kMsgTransportAck) {
     transport_->SendReliable(std::move(msg));
     return;
   }
-  TransmitNow(msg);
+  Transmit(msg);
 }
 
 void Simulator::Transmit(const Message& msg) {
-  // Reached with a log current only from batch prep (the transport's ack
-  // echo while a delivery is being prepped); the echo joins the item's
-  // ordered effects.
-  if (OpLog* log = OpLog::Current()) {
-    log->Push([this, m = msg]() { TransmitNow(m); });
-    return;
-  }
-  TransmitNow(msg);
-}
-
-void Simulator::TransmitNow(const Message& msg) {
   stats_.RecordSend(msg);
   obs::FlightRecorder::Record(msg.from, obs::FlightEventKind::kSend, Now(),
                               msg.to, msg.kind);
@@ -193,12 +153,11 @@ void Simulator::TransmitNow(const Message& msg) {
   }
   for (double extra : plan.extra_delays) {
     const SimTime at = queue_.Now() + options_.hop_latency + extra;
-    queue_.ScheduleAtTagged(at, EventQueue::EventKind::kDeliver, msg.to,
-                            [this, m = msg]() mutable { Deliver(std::move(m)); });
+    queue_.ScheduleAt(at, [this, m = msg]() { Deliver(m); });
   }
 }
 
-void Simulator::Deliver(Message msg) {
+void Simulator::Deliver(const Message& msg) {
   if (!faults_.IsNodeUp(msg.to, Now())) {
     // The copy arrived at a crashed receiver: lost like any other drop.
     stats_.RecordDrop();
@@ -206,13 +165,9 @@ void Simulator::Deliver(Message msg) {
                                 msg.from, msg.kind);
     return;
   }
-  // Energy is a floating-point accumulation, so its order is observable;
-  // staged during batch prep to land between the previous item's handler
-  // effects and this one's, exactly as the serial loop interleaves them.
-  const double rx_cost = options_.rx_cost_per_message +
-                         options_.rx_cost_per_number *
-                             static_cast<double>(msg.size_numbers);
-  RunOrStage([this, to = msg.to, rx_cost]() { energy_[to] += rx_cost; });
+  energy_[msg.to] += options_.rx_cost_per_message +
+                     options_.rx_cost_per_number *
+                         static_cast<double>(msg.size_numbers);
   if (delivery_tap_) delivery_tap_(msg);
   if (msg.kind == kMsgTransportAck) {
     obs::FlightRecorder::Record(msg.to, obs::FlightEventKind::kAck, Now(),
@@ -226,14 +181,6 @@ void Simulator::Deliver(Message msg) {
   }
   obs::FlightRecorder::Record(msg.to, obs::FlightEventKind::kDeliver, Now(),
                               msg.from, msg.kind);
-  if (current_item_ != nullptr) {
-    // Batch prep: park the handler for the worker pool instead of running
-    // it; the message is owned by the closure.
-    current_item_->handler = [this, m = std::move(msg)]() {
-      nodes_[m.to]->HandleMessage(m);
-    };
-    return;
-  }
   nodes_[msg.to]->HandleMessage(msg);
 }
 
@@ -248,26 +195,11 @@ void Simulator::DeliverReading(NodeId node, const Point& value) {
     obs::FlightRecorder::Record(node, obs::FlightEventKind::kReading, Now(),
                                 0, 0,
                                 corrupted.empty() ? 0.0 : corrupted[0]);
-    // Faulty-sensor readings never join a parallel batch (PerturbReading
-    // consumes the fault schedule's rng, whose draw order must match the
-    // serial loop), but the capture keeps this path uniform.
-    if (current_item_ != nullptr) {
-      current_item_->handler = [this, node, v = std::move(corrupted)]() {
-        nodes_[node]->OnReading(v);
-      };
-      return;
-    }
     nodes_[node]->OnReading(corrupted);
     return;
   }
   obs::FlightRecorder::Record(node, obs::FlightEventKind::kReading, Now(), 0,
                               0, value.empty() ? 0.0 : value[0]);
-  if (current_item_ != nullptr) {
-    current_item_->handler = [this, node, v = value]() {
-      nodes_[node]->OnReading(v);
-    };
-    return;
-  }
   nodes_[node]->OnReading(value);
 }
 
@@ -326,8 +258,8 @@ void Simulator::SchedulePeriodicReadings(NodeId node, SimTime start,
   SENSORD_CHECK_GT(period, 0.0);
   const size_t slot = periodic_.size();
   periodic_.push_back(PeriodicSource{node, period, std::move(source)});
-  queue_.ScheduleAtTagged(start, EventQueue::EventKind::kReading, node,
-                          [this, slot, start]() { PeriodicTick(slot, start); });
+  queue_.ScheduleAt(start,
+                    [this, slot, start]() { PeriodicTick(slot, start); });
 }
 
 void Simulator::PeriodicTick(size_t slot, SimTime t) {
@@ -337,30 +269,10 @@ void Simulator::PeriodicTick(size_t slot, SimTime t) {
   // fault schedules); DeliverReading discards the value during a crash.
   DeliverReading(src.node, src.generate());
   const SimTime next = t + src.period;
-  const NodeId node = src.node;
-  // In the serial loop the reschedule's queue position follows everything
-  // OnReading scheduled; during batch prep it goes to the item's post log
-  // so the replay assigns it the same position.
-  auto reschedule = [this, slot, next, node]() {
-    queue_.ScheduleAtTagged(next, EventQueue::EventKind::kReading, node,
-                            [this, slot, next]() { PeriodicTick(slot, next); });
-  };
-  if (current_item_ != nullptr) {
-    current_item_->post.Push(std::move(reschedule));
-  } else {
-    reschedule();
-  }
+  queue_.ScheduleAt(next, [this, slot, next]() { PeriodicTick(slot, next); });
 }
 
 void Simulator::ScheduleAt(SimTime t, std::function<void()> fn) {
-  // A schedule from a handler on a worker thread is staged so the event's
-  // FIFO sequence number is assigned in event order at the tick barrier.
-  if (OpLog* log = OpLog::Current()) {
-    log->Push([this, t, f = std::move(fn)]() mutable {
-      queue_.ScheduleAt(t, std::move(f));
-    });
-    return;
-  }
   queue_.ScheduleAt(t, std::move(fn));
 }
 
@@ -371,10 +283,6 @@ void Simulator::ScheduleAfter(SimTime delay, std::function<void()> fn) {
 
 void Simulator::RunUntil(SimTime until) {
   horizon_ = until;
-  if (threads_ > 1) {
-    RunStaged(until, /*bounded=*/true);
-    return;
-  }
   queue_.RunUntil(until);
 }
 
@@ -383,83 +291,7 @@ void Simulator::RunAll() {
   // event (retransmission timers, scheduled restarts) to completion, while
   // the self-rescheduling tick chains (periodic readings, checkpoints) end
   // at the horizon instead of perpetuating the queue forever.
-  if (threads_ > 1) {
-    RunStaged(0.0, /*bounded=*/false);
-    return;
-  }
   queue_.RunAll();
-}
-
-uint64_t Simulator::RunStaged(SimTime until, bool bounded) {
-  uint64_t fired = 0;
-  while (!queue_.Empty()) {
-    const SimTime t = queue_.NextTime();
-    if (bounded && t > until) break;
-    {
-      // Untagged events (timers, restarts, checkpoints) and faulty-sensor
-      // readings run serially, exactly like the classic loop.
-      const EventQueue::EventKind kind = queue_.NextKind();
-      if (kind == EventQueue::EventKind::kOther ||
-          (kind == EventQueue::EventKind::kReading &&
-           faults_.HasSensorFaults(queue_.NextNode()))) {
-        queue_.RunOne();
-        ++fired;
-        continue;
-      }
-    }
-    // Collect a maximal run of same-tick deliveries/readings to distinct
-    // nodes. Events left behind (same node twice, a timer interleaved)
-    // form their own later batch, preserving per-node order.
-    ++batch_epoch_;
-    batch_fns_.clear();
-    if (node_mark_.size() < nodes_.size()) node_mark_.resize(nodes_.size(), 0);
-    while (!queue_.Empty() && queue_.NextTime() == t) {
-      const EventQueue::EventKind kind = queue_.NextKind();
-      if (kind == EventQueue::EventKind::kOther) break;
-      const uint32_t node = queue_.NextNode();
-      if (kind == EventQueue::EventKind::kReading &&
-          faults_.HasSensorFaults(node)) {
-        break;
-      }
-      if (node_mark_[node] == batch_epoch_) break;
-      node_mark_[node] = batch_epoch_;
-      batch_fns_.push_back(queue_.PopFront());
-    }
-    const size_t n = batch_fns_.size();
-    fired += n;
-    batch_items_.clear();
-    batch_items_.resize(n);
-    // Prep, serially in event order: every effect up to the node handler —
-    // crash checks, transport dedup and acks, flight records — runs or is
-    // staged into item.pre; the handler itself is parked on the item.
-    for (size_t i = 0; i < n; ++i) {
-      current_item_ = &batch_items_[i];
-      OpLog::SetCurrent(&batch_items_[i].pre);
-      batch_fns_[i]();
-      OpLog::SetCurrent(nullptr);
-      current_item_ = nullptr;
-    }
-    // Handlers in parallel: each touches only its own node's state and
-    // stages ordered effects into its item's log.
-    const std::function<void(size_t)> run_item = [this](size_t i) {
-      BatchItem& item = batch_items_[i];
-      if (!item.handler) return;
-      OpLog::SetCurrent(&item.handler_ops);
-      item.handler();
-      OpLog::SetCurrent(nullptr);
-    };
-    pool_->Run(run_item, n);
-    // Merge, serially in event order: the serial loop's effect sequence for
-    // event i is [prep effects, handler effects, reschedule], so replaying
-    // the three logs per item reproduces it byte for byte.
-    for (BatchItem& item : batch_items_) {
-      item.pre.Replay();
-      item.handler_ops.Replay();
-      item.post.Replay();
-    }
-  }
-  if (bounded) queue_.AdvanceTo(until);
-  return fired;
 }
 
 }  // namespace sensord

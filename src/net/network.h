@@ -39,12 +39,9 @@
 #include "net/stats_collector.h"
 #include "net/transport.h"
 #include "util/rng.h"
-#include "util/staging.h"
 #include "util/status.h"
 
 namespace sensord {
-
-class WorkerPool;
 
 /// Crash-recovery knobs (DESIGN.md §10).
 struct RecoveryConfig {
@@ -78,16 +75,6 @@ struct SimulatorOptions {
 
   /// Checkpoint/restore behaviour for amnesia crashes. Off by default.
   RecoveryConfig recovery;
-
-  /// Worker threads of the deterministic parallel engine (DESIGN.md §12).
-  /// 1 runs the classic serial event loop. N > 1 shards each virtual tick's
-  /// independent node handlers (message deliveries, periodic readings; one
-  /// event per node per batch) across N threads, staging every ordered side
-  /// effect and replaying it in event order at the tick barrier — the run's
-  /// outputs (outlier history, trace/flight JSONL, metrics exports) are
-  /// byte-identical to the 1-thread run. 0 (the default) reads the
-  /// SENSORD_THREADS environment variable, falling back to 1.
-  int threads = 0;
 
   /// Radio energy model, in abstract units. Transmitting dominates
   /// receiving on real motes; payload size adds a per-number term.
@@ -164,8 +151,8 @@ class Simulator {
   /// Runs until the event queue drains.
   void RunAll();
 
-  /// The resolved worker-thread count (>= 1) this simulator runs with.
-  int threads() const { return threads_; }
+  /// Always 1: the event loop is serial (kept for callers that record it).
+  int threads() const { return 1; }
 
   SimTime Now() const { return queue_.Now(); }
 
@@ -217,41 +204,14 @@ class Simulator {
     std::function<Point()> generate;
   };
 
-  // One batched event of the parallel engine: the side effects its prep
-  // phase staged (pre), the effects its handler staged from a worker thread
-  // (handler_ops), the effects that follow the handler in program order
-  // (post — the periodic tick's rescheduling), and the handler itself
-  // (null when prep suppressed it: crashed receiver, transport duplicate,
-  // infrastructure ack, horizon-expired tick).
-  struct BatchItem {
-    OpLog pre;
-    OpLog handler_ops;
-    OpLog post;
-    std::function<void()> handler;
-  };
-
   void PeriodicTick(size_t slot, SimTime t);
 
   /// One physical transmission attempt: accounting, loss model, fault
-  /// schedule, then delivery scheduling for each surviving copy. Staged
-  /// when a side-effect log is current (ack echoes during batch prep).
+  /// schedule, then delivery scheduling for each surviving copy.
   void Transmit(const Message& msg);
 
-  /// The unconditional body of Transmit.
-  void TransmitNow(const Message& msg);
-
-  /// The unconditional body of Send.
-  void SendNow(Message msg);
-
   /// Arrival of one physical copy at the receiver.
-  void Deliver(Message msg);
-
-  /// The parallel drain loop: batches same-tick deliveries/readings to
-  /// distinct nodes, preps them serially, runs their handlers on the worker
-  /// pool, and replays each item's staged effects in event order. Equals
-  /// the serial loop's behaviour bit for bit. `until` is ignored when
-  /// `bounded` is false (RunAll). Returns the number of events fired.
-  uint64_t RunStaged(SimTime until, bool bounded);
+  void Deliver(const Message& msg);
 
   /// Periodic checkpoint of every live node (recovery.checkpoint_interval).
   void CheckpointTick(SimTime t);
@@ -262,7 +222,6 @@ class Simulator {
   void RestartNode(NodeId node);
 
   SimulatorOptions options_;
-  int threads_ = 1;
   EventQueue queue_;
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<PeriodicSource> periodic_;
@@ -276,20 +235,6 @@ class Simulator {
   // Simulated per-node flash: the latest checkpoint of each node's volatile
   // state (framed by the node, opaque here). Survives amnesia crashes.
   std::map<NodeId, std::vector<uint8_t>> flash_;
-
-  // --- Parallel engine state (threads_ > 1 only) ---
-  std::unique_ptr<WorkerPool> pool_;
-  // The batch item whose event is currently in its prep phase; Deliver /
-  // DeliverReading park the node handler here instead of calling it, and
-  // PeriodicTick stages its reschedule into item->post. Null outside prep
-  // (the classic serial paths call handlers directly).
-  BatchItem* current_item_ = nullptr;
-  std::vector<BatchItem> batch_items_;
-  std::vector<std::function<void()>> batch_fns_;
-  // node_mark_[n] == batch_epoch_ iff node n already has an event in the
-  // batch being collected (two events to one node must stay ordered).
-  std::vector<uint64_t> node_mark_;
-  uint64_t batch_epoch_ = 0;
 };
 
 }  // namespace sensord

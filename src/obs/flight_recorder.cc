@@ -5,7 +5,6 @@
 #include <mutex>
 #include <vector>
 
-#include "util/staging.h"
 #include "util/thread_annotations.h"
 
 namespace sensord::obs {
@@ -135,15 +134,6 @@ void FlightRecorder::CloseDumpSink() {
 
 void FlightRecorder::RecordSlow(int64_t node, FlightEventKind kind, double vt,
                                 int64_t a, int64_t b, double value) {
-  // Ring contents are an ordered history; under the parallel engine a
-  // record made on a worker thread is staged and replayed in event order
-  // (util/staging.h — replay re-enters with no log current).
-  if (OpLog* log = OpLog::Current()) {
-    log->Push([node, kind, vt, a, b, value]() {
-      RecordSlow(node, kind, vt, a, b, value);
-    });
-    return;
-  }
   RecorderState& state = State();
   const std::lock_guard<std::mutex> lock(state.mu);
   // Enable() may have lost a race with the gate check; re-check under the
@@ -161,12 +151,6 @@ void FlightRecorder::RecordSlow(int64_t node, FlightEventKind kind, double vt,
 
 void FlightRecorder::Dump(int64_t node, const char* reason, double vt) {
   if (!Enabled()) return;
-  // Dumps write JSONL whose position among other staged emissions is
-  // observable; `reason` is a string literal by contract, safe to capture.
-  if (OpLog* log = OpLog::Current()) {
-    log->Push([node, reason, vt]() { Dump(node, reason, vt); });
-    return;
-  }
   RecorderState& state = State();
   const std::lock_guard<std::mutex> lock(state.mu);
   const auto it = state.rings.find(node);

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "util/check.h"
-#include "util/staging.h"
 
 namespace sensord::obs {
 
@@ -48,14 +47,6 @@ Histogram::Histogram(std::vector<double> boundaries)
 }
 
 void Histogram::Record(double value) {
-  // Histogram sums are floating-point, so the accumulation order is
-  // observable in exports; under the parallel engine a record made on a
-  // worker thread is staged and replayed in event order (util/staging.h —
-  // replay re-enters with no log current).
-  if (OpLog* log = OpLog::Current()) {
-    log->Push([this, value]() { Record(value); });
-    return;
-  }
   // First boundary >= value; values above the last boundary land in the
   // overflow bucket at index boundaries_.size().
   const size_t bucket = static_cast<size_t>(

@@ -8,7 +8,6 @@
 #include <mutex>
 
 #include "obs/flight_recorder.h"
-#include "util/staging.h"
 #include "util/thread_annotations.h"
 
 namespace sensord::obs {
@@ -135,17 +134,6 @@ void EmitCausalSpan(const char* name, int64_t node, double virtual_time,
                     uint64_t trace_id, uint64_t span_id,
                     uint64_t parent_span) {
   if (!TraceSinkEnabled()) return;
-  // Sink lines are an ordered stream; under the parallel engine an emission
-  // from a worker thread is staged and replayed in event order
-  // (util/staging.h — replay re-enters with no log current). `name` is a
-  // string literal by contract, safe to capture.
-  if (OpLog* log = OpLog::Current()) {
-    log->Push([name, node, virtual_time, trace_id, span_id, parent_span]() {
-      EmitCausalSpan(name, node, virtual_time, trace_id, span_id,
-                     parent_span);
-    });
-    return;
-  }
   char line[320];
   const int len = std::snprintf(
       line, sizeof(line),
@@ -160,11 +148,6 @@ void EmitCausalSpan(const char* name, int64_t node, double virtual_time,
 
 void EmitDecisionRecord(const DecisionRecord& record) {
   if (!TraceSinkEnabled()) return;
-  // See EmitCausalSpan; record.detector is a short literal by contract.
-  if (OpLog* log = OpLog::Current()) {
-    log->Push([record]() { EmitDecisionRecord(record); });
-    return;
-  }
   char line[448];
   const int len = std::snprintf(
       line, sizeof(line),
@@ -221,14 +204,6 @@ uint64_t SpanNowNs(double fallback_virtual_time) {
 
 void WriteTraceEvent(const char* name, int64_t node, double virtual_time,
                      uint64_t begin_ns, uint64_t end_ns) {
-  // See EmitCausalSpan: staged under the parallel engine so span records
-  // land in the sink in event order, not worker-completion order.
-  if (OpLog* log = OpLog::Current()) {
-    log->Push([name, node, virtual_time, begin_ns, end_ns]() {
-      WriteTraceEvent(name, node, virtual_time, begin_ns, end_ns);
-    });
-    return;
-  }
   char line[256];
   const int len = std::snprintf(
       line, sizeof(line),

@@ -9,12 +9,17 @@
 //    injected, the paper's Theorem 3 containment (every parent detection is
 //    backed by a leaf detection of the same reading) must hold, the event
 //    queue must drain, and drop accounting must stay consistent.
-//  * Determinism: identical (seed, schedule) => identical event history.
+//  * Determinism: identical (seed, schedule) => identical event history,
+//    and — under loss, link faults, the reliable transport and an amnesia
+//    crash — byte-identical artifacts (metrics, trace and flight JSONL,
+//    energy, counters, full-precision provenance).
 
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <memory>
 #include <set>
+#include <sstream>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -26,7 +31,10 @@
 #include "net/fault_schedule.h"
 #include "net/hierarchy.h"
 #include "net/network.h"
+#include "obs/exporters.h"
+#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "util/math_utils.h"
 #include "util/rng.h"
 
@@ -492,6 +500,211 @@ TEST(SimSoakTest, SameSeedReplaysIdenticalEventHistory) {
     EXPECT_EQ(a.dropped, b.dropped);
     EXPECT_EQ(a.retries, b.retries);
   }
+}
+
+std::string ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.good()) << "cannot read " << path;
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
+// Everything a run can externalize. Unlike the golden e2e history this
+// deliberately includes floating-point text (%.17g round-trips doubles
+// exactly): both runs share one build, so the comparison must be exact —
+// a reordered FP accumulation is precisely the class of bug to catch.
+struct RunArtifacts {
+  std::string events;    // outlier history incl. provenance
+  std::string counters;  // transport + stats tallies
+  std::string energy;    // per-node energy, full precision
+  std::string metrics;   // MetricsToJson export
+  std::string trace;     // causal-span/decision JSONL bytes
+  std::string flight;    // flight-recorder dump JSONL bytes
+};
+
+// The scenario: 8 leaves / fanout 2 D3 hierarchy driven by periodic
+// readings, 20% uniform loss plus a flaky default link fault (deliveries
+// under retransmission pressure), and an amnesia crash of leaf 2 with
+// checkpointing on (checkpoint ticks and crash/restart events interleaved
+// with the readings).
+RunArtifacts RunScenario(const std::string& label) {
+  const int kRounds = 200;
+  const int kLeaves = 8;
+
+  Rng data_rng(20260808);
+  std::vector<std::vector<Point>> readings(kRounds,
+                                           std::vector<Point>(kLeaves));
+  for (int round = 0; round < kRounds; ++round) {
+    for (int leaf = 0; leaf < kLeaves; ++leaf) {
+      readings[static_cast<size_t>(round)][static_cast<size_t>(leaf)] = {
+          Clamp(data_rng.Gaussian(0.4, 0.01), 0.0, 1.0)};
+    }
+    if (round % 5 == 0) {
+      readings[static_cast<size_t>(round)][(round / 5) % kLeaves] = {
+          data_rng.UniformDouble(0.6, 1.0)};
+    }
+  }
+
+  const std::string trace_path =
+      ::testing::TempDir() + "sim_soak_trace_" + label + ".jsonl";
+  const std::string flight_path =
+      ::testing::TempDir() + "sim_soak_flight_" + label + ".jsonl";
+
+  obs::ScopedMetricsReset metrics_reset;
+  EXPECT_TRUE(obs::OpenTraceSink(trace_path).ok());
+  EXPECT_TRUE(obs::FlightRecorder::OpenDumpSink(flight_path).ok());
+  obs::FlightRecorder::Enable(32);
+
+  RunArtifacts artifacts;
+  {
+    SimulatorOptions sim_opts;
+    sim_opts.drop_probability = 0.2;
+    sim_opts.loss_seed = 0xD0;
+    sim_opts.fault_seed = 0xFA;
+    sim_opts.transport.reliable = true;
+    sim_opts.transport.ack_timeout = 0.05;
+    sim_opts.transport.max_retries = 4;
+    sim_opts.recovery.checkpoint_interval = 10.0;
+    Simulator sim(sim_opts);
+
+    LinkFault flaky;
+    flaky.drop_probability = 0.05;
+    flaky.duplicate_probability = 0.02;
+    sim.faults().SetDefaultLinkFault(flaky);
+    sim.faults().CrashNode(2, 60.0, 90.0, CrashKind::kAmnesia);
+
+    RecordingObserver observer;
+    Rng node_rng(99);
+    auto layout = BuildGridHierarchy(kLeaves, 2);
+    D3Options leaf_opts;
+    leaf_opts.model.window_size = 400;
+    leaf_opts.model.sample_size = 80;
+    leaf_opts.outlier.radius = 0.02;
+    leaf_opts.outlier.neighbor_threshold = 10.0;
+    leaf_opts.min_observations = 100;
+    leaf_opts.staleness_threshold = 30.0;
+    std::vector<NodeId> ids = sim.Instantiate(
+        *layout,
+        [&](int, const HierarchyNodeSpec& spec) -> std::unique_ptr<Node> {
+          if (spec.level == 1) {
+            return std::make_unique<D3LeafNode>(leaf_opts, node_rng.Split(),
+                                                &observer);
+          }
+          D3Options opts = leaf_opts;
+          opts.model = LeaderModelConfig(leaf_opts.model, 2, 0.5, spec.level);
+          opts.min_observations = 50;
+          return std::make_unique<D3ParentNode>(opts, node_rng.Split(),
+                                                &observer);
+        });
+
+    for (int leaf = 0; leaf < kLeaves; ++leaf) {
+      const NodeId id = ids[static_cast<size_t>(leaf)];
+      sim.SchedulePeriodicReadings(
+          id, 1.0, 1.0, [&readings, leaf, i = size_t{0}]() mutable {
+            return readings[i++ % readings.size()][static_cast<size_t>(leaf)];
+          });
+    }
+
+    sim.RunUntil(static_cast<SimTime>(kRounds));
+    sim.RunAll();
+
+    for (const OutlierEvent& e : observer.events) {
+      char line[256];
+      std::snprintf(line, sizeof(line),
+                    "node=%u level=%d leaf=%u seq=%llu deg=%d est=%.17g "
+                    "thr=%.17g ver=%llu stale=%.17g trace=%llu\n",
+                    e.node, e.level, e.source_leaf,
+                    static_cast<unsigned long long>(e.source_seq),
+                    e.degraded ? 1 : 0, e.provenance.estimate,
+                    e.provenance.threshold,
+                    static_cast<unsigned long long>(
+                        e.provenance.model_version),
+                    e.provenance.staleness_s,
+                    static_cast<unsigned long long>(e.provenance.trace_id));
+      artifacts.events += line;
+    }
+    {
+      char line[256];
+      std::snprintf(
+          line, sizeof(line),
+          "messages=%llu dropped=%llu retries=%llu timeouts=%llu "
+          "dup_suppressed=%llu abandoned=%llu acks=%llu\n",
+          static_cast<unsigned long long>(sim.stats().TotalMessages()),
+          static_cast<unsigned long long>(sim.MessagesDropped()),
+          static_cast<unsigned long long>(sim.transport().retries()),
+          static_cast<unsigned long long>(sim.transport().timeouts()),
+          static_cast<unsigned long long>(sim.transport().dup_suppressed()),
+          static_cast<unsigned long long>(sim.transport().abandoned()),
+          static_cast<unsigned long long>(sim.transport().acks_sent()));
+      artifacts.counters = line;
+    }
+    for (const NodeId id : ids) {
+      char line[64];
+      std::snprintf(line, sizeof(line), "energy[%u]=%.17g\n", id,
+                    sim.EnergyConsumed(id));
+      artifacts.energy += line;
+    }
+
+    obs::FlightRecorder::DumpAll("end-of-run");
+  }
+
+  obs::FlightRecorder::Disable();
+  obs::FlightRecorder::CloseDumpSink();
+  obs::CloseTraceSink();
+
+  artifacts.metrics = obs::MetricsToJson(obs::MetricsRegistry::Global());
+  artifacts.trace = ReadFileBytes(trace_path);
+  artifacts.flight = ReadFileBytes(flight_path);
+  std::remove(trace_path.c_str());
+  std::remove(flight_path.c_str());
+  return artifacts;
+}
+
+// Line-by-line comparison so a divergence reports its first differing line
+// instead of two multi-kilobyte blobs.
+void ExpectSameArtifact(const char* what, const std::string& expected,
+                        const std::string& actual) {
+  if (expected == actual) return;
+  std::istringstream exp_stream(expected), act_stream(actual);
+  std::string exp_line, act_line;
+  size_t line_no = 0;
+  for (;;) {
+    ++line_no;
+    const bool has_exp = static_cast<bool>(std::getline(exp_stream, exp_line));
+    const bool has_act = static_cast<bool>(std::getline(act_stream, act_line));
+    if (!has_exp && !has_act) break;
+    if (!has_exp) exp_line = "<end of first run's output>";
+    if (!has_act) act_line = "<end of second run's output>";
+    ASSERT_EQ(act_line, exp_line)
+        << what << ": first divergence at line " << line_no;
+    if (!has_exp || !has_act) break;
+  }
+  // Same lines but different bytes (e.g. trailing newline): fall back to
+  // the blob comparison for the failure record.
+  EXPECT_EQ(actual, expected) << what << ": byte-level difference";
+}
+
+void ExpectSameRun(const RunArtifacts& first, const RunArtifacts& second) {
+  ExpectSameArtifact("outlier history", first.events, second.events);
+  ExpectSameArtifact("traffic counters", first.counters, second.counters);
+  ExpectSameArtifact("per-node energy", first.energy, second.energy);
+  ExpectSameArtifact("metrics export", first.metrics, second.metrics);
+  ExpectSameArtifact("trace JSONL", first.trace, second.trace);
+  ExpectSameArtifact("flight dump JSONL", first.flight, second.flight);
+}
+
+// Under loss, retransmission, link faults, and an amnesia crash with
+// checkpoints, a same-seed re-run reproduces every artifact byte for byte:
+// outlier history with full-precision provenance, traffic counters,
+// per-node energy, the metrics export, and the trace and flight JSONL.
+TEST(SimSoakTest, SameSeedReplaysEveryArtifactByteForByte) {
+  const RunArtifacts first = RunScenario("a");
+  const RunArtifacts second = RunScenario("b");
+  ASSERT_FALSE(first.events.empty()) << "scenario detected no outliers";
+  ASSERT_FALSE(first.trace.empty()) << "scenario emitted no trace spans";
+  ASSERT_FALSE(first.flight.empty()) << "scenario dumped no flight records";
+  ExpectSameRun(first, second);
 }
 
 }  // namespace
