@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
-# Regenerates tests/golden/e2e_outliers.txt from the current build.
+# Regenerates both end-to-end goldens from the current build:
+#   tests/golden/e2e_outliers.txt     (GoldenE2eTest.DetectionHistoryMatchesGolden)
+#   tests/golden/recovery_history.txt (GoldenE2eTest.RecoveryHistoryMatchesGolden)
 #
 # Run after an INTENTIONAL behaviour change (detector logic, transport,
-# fault scheduling, RNG consumption), review the diff, and commit the new
-# golden together with the change that caused it.
+# fault scheduling, crash recovery, RNG consumption), review the diff, and
+# commit the new goldens together with the change that caused them.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -14,7 +16,9 @@ cmake --build "$BUILD_DIR" -j"$(nproc)" --target golden_e2e_test
 
 SENSORD_REGEN_GOLDEN=1 \
   "$BUILD_DIR"/tests/golden_e2e_test \
-  --gtest_filter='GoldenE2eTest.DetectionHistoryMatchesGolden'
+  --gtest_filter='GoldenE2eTest.*MatchesGolden'
 
-echo "--- regenerated tests/golden/e2e_outliers.txt ---"
-git diff --stat -- tests/golden/e2e_outliers.txt || true
+echo "--- regenerated tests/golden/e2e_outliers.txt and" \
+     "tests/golden/recovery_history.txt ---"
+git diff --stat -- tests/golden/e2e_outliers.txt \
+                   tests/golden/recovery_history.txt || true

@@ -9,7 +9,6 @@
 #include "core/distance_outlier.h"
 #include "core/protocol.h"
 #include "core/snapshot.h"
-#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "obs/trace_context.h"
@@ -41,34 +40,29 @@ const D3Metrics& Metrics() {
   return m;
 }
 
-// Shared with mgdd.cc by name: degraded-state entries of any detector.
-obs::Counter* DegradedWindowsCounter() {
-  static obs::Counter* const counter =
-      obs::MetricsRegistry::Global().GetCounter("core.degraded_windows");
-  return counter;
-}
-
-// Rejoin-protocol telemetry, shared with mgdd.cc by name.
-struct RejoinMetrics {
-  obs::Counter* announces;  // rejoin/recovered announces sent upward
-  obs::Counter* resyncs;    // model resync summaries sent to children
-  obs::Histogram* ttr_s;    // restart -> capability, virtual seconds
-};
-
-const RejoinMetrics& Rejoin() {
-  auto& registry = obs::MetricsRegistry::Global();
-  static const RejoinMetrics m{
-      registry.GetCounter("recovery.rejoin_announces"),
-      registry.GetCounter("recovery.rejoin_resyncs"),
-      registry.GetHistogram("recovery.time_to_recover_s",
-                            obs::DurationBoundariesS())};
-  return m;
-}
-
 // Snapshot payload versions (core/snapshot.h frame field) of the D3 node
 // checkpoints. Bump on layout change.
 constexpr uint32_t kD3LeafSnapshotVersion = 1;
 constexpr uint32_t kD3ParentSnapshotVersion = 2;
+
+// Both D3 node kinds checkpoint the same shape: the model plus the
+// propagation rng, framed under the node kind's snapshot version.
+std::vector<uint8_t> SaveModelAndRng(const DensityModel& model, const Rng& rng,
+                                     uint32_t version) {
+  SnapshotWriter writer;
+  model.Serialize(&writer);
+  writer.PutRng(rng);
+  return std::move(writer).Finish(version);
+}
+
+bool RestoreModelAndRng(const std::vector<uint8_t>& bytes, uint32_t version,
+                        DensityModel* model, Rng* rng) {
+  auto reader = SnapshotReader::Open(bytes, version);
+  if (!reader.ok()) return false;
+  if (!model->Restore(&reader.value())) return false;
+  *rng = reader.value().TakeRng();
+  return reader.value().ok();
+}
 
 }  // namespace
 
@@ -110,35 +104,13 @@ void D3LeafNode::OnReading(const Point& value) {
   // Ingest validation firewall: a NaN from a dying transducer would poison
   // the chain sample for a full window, so bad values are dropped before
   // the model ever sees them.
-  if (validator_.Check(value) != IngestVerdict::kAccept) return;
-  const bool was_quarantined = stuck_.quarantined();
-  if (stuck_.ShouldQuarantine(value)) {
-    if (!was_quarantined) {
-      // Quarantine onset: record the transition and dump the black box so
-      // the readings that led into the stuck run survive for analysis.
-      obs::FlightRecorder::Record(id(), obs::FlightEventKind::kQuarantine,
-                                  sim()->Now(), 0, 0,
-                                  value.empty() ? 0.0 : value[0]);
-      obs::FlightRecorder::Dump(id(), "quarantine", sim()->Now());
-    }
-    return;
-  }
+  if (!AdmitReading(*this, &validator_, &stuck_, value)) return;
 
   // Figure 4, LeafProcess: update the model first, then test the value.
   const bool inserted = model_.Observe(value);
   if (recovering_) MaybeFinishRecovery();
-
-  if (inserted && parent() != kNoNode &&
-      rng_.Bernoulli(options_.sample_fraction)) {
-    Metrics().leaf_propagations->Increment();
-    Message msg;
-    msg.from = id();
-    msg.to = parent();
-    msg.kind = kMsgSampleValue;
-    msg.size_numbers = value.size();
-    msg.payload = MakeSampleValue(value);
-    sim()->Send(std::move(msg));
-  }
+  MaybePropagateSample(this, inserted, value, options_.sample_fraction, &rng_,
+                       Metrics().leaf_propagations);
 
   if (model_.total_seen() < options_.min_observations) return;
   const double estimate = EstimateNeighborCount(
@@ -155,39 +127,13 @@ void D3LeafNode::OnReading(const Point& value) {
   const uint64_t span = obs::DeriveSpanId(trace, id(), /*salt=*/level());
   obs::EmitCausalSpan("d3.leaf.flag", id(), now, trace, span,
                       /*parent_span=*/0);
-  DetectionLatencyHist(level())->Record(0.0);
-  obs::DecisionRecord decision;
-  decision.detector = "d3";
-  decision.node = id();
-  decision.level = level();
-  decision.virtual_time = now;
-  decision.trace_id = trace;
-  decision.span_id = span;
-  decision.estimate = estimate;
-  decision.threshold = options_.outlier.neighbor_threshold;
-  decision.model_version = seq;
-  obs::EmitDecisionRecord(decision);
-  if (observer_ != nullptr) {
-    OutlierEvent event{DetectorKind::kD3, id(), level(), value, now, id(),
-                       seq};
-    event.provenance = OutlierProvenance{
-        estimate, options_.outlier.neighbor_threshold, seq,
-        /*staleness_s=*/0.0, trace};
-    observer_->OnOutlierDetected(event);
-  }
-  if (parent() != kNoNode) {
-    Message msg;
-    msg.from = id();
-    msg.to = parent();
-    msg.kind = kMsgOutlierReport;
-    msg.size_numbers = value.size() + 2;
-    OutlierReportPayload report{value, level(), id(), seq};
-    report.ingest_time = now;
-    msg.payload = report;
-    msg.trace_id = trace;
-    msg.trace_parent_span = span;
-    sim()->Send(std::move(msg));
-  }
+  OutlierEvent event{DetectorKind::kD3, id(), level(), value, now, id(), seq};
+  event.provenance =
+      OutlierProvenance{estimate, options_.outlier.neighbor_threshold, seq,
+                        /*staleness_s=*/0.0, trace};
+  ReportDecision(event, span, /*latency_s=*/0.0, observer_);
+  SendOutlierReport(this, OutlierReportPayload{value, level(), id(), seq, now},
+                    trace, span);
 }
 
 void D3LeafNode::HandleMessage(const Message& msg) {
@@ -202,18 +148,11 @@ void D3LeafNode::HandleMessage(const Message& msg) {
 }
 
 std::vector<uint8_t> D3LeafNode::SaveState() const {
-  SnapshotWriter writer;
-  model_.Serialize(&writer);
-  writer.PutRng(rng_);
-  return std::move(writer).Finish(kD3LeafSnapshotVersion);
+  return SaveModelAndRng(model_, rng_, kD3LeafSnapshotVersion);
 }
 
 bool D3LeafNode::RestoreState(const std::vector<uint8_t>& bytes) {
-  auto reader = SnapshotReader::Open(bytes, kD3LeafSnapshotVersion);
-  if (!reader.ok()) return false;
-  if (!model_.Restore(&reader.value())) return false;
-  rng_ = reader.value().TakeRng();
-  return reader.value().ok();
+  return RestoreModelAndRng(bytes, kD3LeafSnapshotVersion, &model_, &rng_);
 }
 
 void D3LeafNode::ResetVolatileState() {
@@ -230,40 +169,23 @@ void D3LeafNode::ResetVolatileState() {
   restart_time_ = 0.0;
 }
 
-void D3LeafNode::OnRestart(bool restored_from_checkpoint,
-                           uint32_t incarnation) {
-  (void)incarnation;  // transport stamps outgoing messages itself
+void D3LeafNode::OnRestart(bool restored_from_checkpoint) {
   recovering_ = true;
   warm_started_ = false;
   restart_time_ = sim()->Now();
-  SendAnnounce(restored_from_checkpoint, /*recovered=*/false);
+  SendRejoinAnnounce(this, model_.total_seen(), restored_from_checkpoint,
+                     /*recovered=*/false);
   // A checkpoint restore may come back already capable.
   MaybeFinishRecovery();
-}
-
-void D3LeafNode::SendAnnounce(bool restored_from_checkpoint, bool recovered) {
-  if (parent() == kNoNode) return;
-  Rejoin().announces->Increment();
-  RejoinAnnouncePayload ann;
-  ann.incarnation = sim()->Incarnation(id());
-  ann.restored_seen = model_.total_seen();
-  ann.from_checkpoint = restored_from_checkpoint;
-  ann.recovered = recovered;
-  Message msg;
-  msg.from = id();
-  msg.to = parent();
-  msg.kind = kMsgRejoinAnnounce;
-  msg.size_numbers = ann.SizeNumbers();
-  msg.payload = ann;
-  sim()->Send(std::move(msg));
 }
 
 void D3LeafNode::MaybeFinishRecovery() {
   if (!recovering_) return;
   if (model_.total_seen() < options_.min_observations) return;
   recovering_ = false;
-  Rejoin().ttr_s->Record(sim()->Now() - restart_time_);
-  SendAnnounce(/*restored_from_checkpoint=*/false, /*recovered=*/true);
+  RejoinTelemetry().ttr_s->Record(sim()->Now() - restart_time_);
+  SendRejoinAnnounce(this, model_.total_seen(), /*from_checkpoint=*/false,
+                     /*recovered=*/true);
 }
 
 D3ParentNode::D3ParentNode(const D3Options& options, Rng rng,
@@ -291,17 +213,18 @@ bool D3ParentNode::ComputeDegraded(SimTime now) const {
   return false;
 }
 
-bool D3ParentNode::degraded() const { return ComputeDegraded(sim()->Now()); }
+void D3ParentNode::SettleDegraded(SimTime now) {
+  const bool now_degraded = ComputeDegraded(now);
+  if (now_degraded && !degraded_state_) DegradedWindowsCounter()->Increment();
+  degraded_state_ = now_degraded;
+}
 
 void D3ParentNode::HandleMessage(const Message& msg) {
   // Degradation bookkeeping: staleness is only observable when an event
   // fires, so each arriving message first settles whether a silent child
   // pushed the node into the degraded state since the last one.
   const SimTime now = sim()->Now();
-  if (ComputeDegraded(now) && !degraded_state_) {
-    DegradedWindowsCounter()->Increment();
-    degraded_state_ = true;
-  }
+  SettleDegraded(now);
   const auto heard = last_heard_.find(msg.from);
   if (heard != last_heard_.end()) heard->second = now;
   degraded_state_ = ComputeDegraded(now);
@@ -324,12 +247,8 @@ void D3ParentNode::HandleMessage(const Message& msg) {
           std::any_cast<const RejoinAnnouncePayload&>(msg.payload);
       HandleRejoinAnnounce(msg.from, payload);
       // The announce itself can open or close the recovering-children
-      // degradation window; settle it with the usual rising-edge count.
-      const bool now_degraded = ComputeDegraded(now);
-      if (now_degraded && !degraded_state_) {
-        DegradedWindowsCounter()->Increment();
-      }
-      degraded_state_ = now_degraded;
+      // degradation window.
+      SettleDegraded(now);
       break;
     }
     case kMsgRejoinResync: {
@@ -356,7 +275,7 @@ void D3ParentNode::HandleRejoinAnnounce(NodeId child,
   // Resync only a cold-started child: one restored from its own checkpoint
   // already holds a model at least as fresh as anything we could send.
   if (ann.from_checkpoint || !model_.Ready()) return;
-  Rejoin().resyncs->Increment();
+  RejoinTelemetry().resyncs->Increment();
   RejoinResyncPayload resync;
   resync.sample = model_.sample().Snapshot();
   resync.spreads = model_.BandwidthSpreads();
@@ -380,18 +299,11 @@ void D3ParentNode::HandleRejoinResync(const RejoinResyncPayload& resync) {
 }
 
 std::vector<uint8_t> D3ParentNode::SaveState() const {
-  SnapshotWriter writer;
-  model_.Serialize(&writer);
-  writer.PutRng(rng_);
-  return std::move(writer).Finish(kD3ParentSnapshotVersion);
+  return SaveModelAndRng(model_, rng_, kD3ParentSnapshotVersion);
 }
 
 bool D3ParentNode::RestoreState(const std::vector<uint8_t>& bytes) {
-  auto reader = SnapshotReader::Open(bytes, kD3ParentSnapshotVersion);
-  if (!reader.ok()) return false;
-  if (!model_.Restore(&reader.value())) return false;
-  rng_ = reader.value().TakeRng();
-  return reader.value().ok();
+  return RestoreModelAndRng(bytes, kD3ParentSnapshotVersion, &model_, &rng_);
 }
 
 void D3ParentNode::ResetVolatileState() {
@@ -406,42 +318,24 @@ void D3ParentNode::ResetVolatileState() {
   restart_time_ = 0.0;
 }
 
-void D3ParentNode::OnRestart(bool restored_from_checkpoint,
-                             uint32_t incarnation) {
-  (void)incarnation;
+void D3ParentNode::OnRestart(bool restored_from_checkpoint) {
   // The silence clocks restart from the moment of rejoin, exactly as they
-  // do at OnStart: a child is not "stale" for time the parent slept through.
-  for (NodeId child : children()) last_heard_[child] = sim()->Now();
+  // do at start: a child is not "stale" for time the parent slept through.
+  OnStart();
   recovering_ = true;
   warm_started_ = false;
   restart_time_ = sim()->Now();
-  SendAnnounce(restored_from_checkpoint, /*recovered=*/false);
+  SendRejoinAnnounce(this, model_.total_seen(), restored_from_checkpoint,
+                     /*recovered=*/false);
   MaybeFinishRecovery();
-}
-
-void D3ParentNode::SendAnnounce(bool restored_from_checkpoint,
-                                bool recovered) {
-  if (parent() == kNoNode) return;  // the root rejoins nobody
-  Rejoin().announces->Increment();
-  RejoinAnnouncePayload ann;
-  ann.incarnation = sim()->Incarnation(id());
-  ann.restored_seen = model_.total_seen();
-  ann.from_checkpoint = restored_from_checkpoint;
-  ann.recovered = recovered;
-  Message msg;
-  msg.from = id();
-  msg.to = parent();
-  msg.kind = kMsgRejoinAnnounce;
-  msg.size_numbers = ann.SizeNumbers();
-  msg.payload = ann;
-  sim()->Send(std::move(msg));
 }
 
 void D3ParentNode::MaybeFinishRecovery() {
   if (!recovering_) return;
   if (model_.total_seen() < options_.min_observations) return;
   recovering_ = false;
-  SendAnnounce(/*restored_from_checkpoint=*/false, /*recovered=*/true);
+  SendRejoinAnnounce(this, model_.total_seen(), /*from_checkpoint=*/false,
+                     /*recovered=*/true);
 }
 
 void D3ParentNode::HandleSampleValue(const Point& value) {
@@ -450,17 +344,8 @@ void D3ParentNode::HandleSampleValue(const Point& value) {
   Metrics().parent_sample_arrivals->Increment();
   const bool inserted = model_.Observe(value);
   if (recovering_) MaybeFinishRecovery();
-  if (inserted && parent() != kNoNode &&
-      rng_.Bernoulli(options_.sample_fraction)) {
-    Metrics().parent_propagations->Increment();
-    Message msg;
-    msg.from = id();
-    msg.to = parent();
-    msg.kind = kMsgSampleValue;
-    msg.size_numbers = value.size();
-    msg.payload = MakeSampleValue(value);
-    sim()->Send(std::move(msg));
-  }
+  MaybePropagateSample(this, inserted, value, options_.sample_fraction, &rng_,
+                       Metrics().parent_propagations);
 }
 
 void D3ParentNode::HandleOutlierReport(const Message& incoming,
@@ -496,43 +381,14 @@ void D3ParentNode::HandleOutlierReport(const Message& incoming,
   for (const auto& [child, heard] : last_heard_) {
     staleness = std::max(staleness, now - heard);
   }
-  DetectionLatencyHist(level())->Record(latency);
-  obs::DecisionRecord decision;
-  decision.detector = "d3";
-  decision.node = id();
-  decision.level = level();
-  decision.virtual_time = now;
-  decision.trace_id = trace;
-  decision.span_id = span;
-  decision.estimate = estimate;
-  decision.threshold = options_.outlier.neighbor_threshold;
-  decision.model_version = model_.total_seen();
-  decision.staleness_s = staleness;
-  decision.degraded = degraded_state_;
-  decision.latency_s = latency;
-  obs::EmitDecisionRecord(decision);
-  if (observer_ != nullptr) {
-    OutlierEvent event{DetectorKind::kD3,  id(),
-                       level(),            report.value,
-                       now,                report.source_leaf,
-                       report.source_seq};
-    event.degraded = degraded_state_;
-    event.provenance = OutlierProvenance{
-        estimate, options_.outlier.neighbor_threshold, model_.total_seen(),
-        staleness, trace};
-    observer_->OnOutlierDetected(event);
-  }
-  if (parent() != kNoNode) {
-    Message msg;
-    msg.from = id();
-    msg.to = parent();
-    msg.kind = kMsgOutlierReport;
-    msg.size_numbers = report.value.size() + 2;
-    msg.payload = report;
-    msg.trace_id = trace;
-    msg.trace_parent_span = span;
-    sim()->Send(std::move(msg));
-  }
+  OutlierEvent event{DetectorKind::kD3, id(), level(), report.value, now,
+                     report.source_leaf, report.source_seq};
+  event.degraded = degraded_state_;
+  event.provenance =
+      OutlierProvenance{estimate, options_.outlier.neighbor_threshold,
+                        model_.total_seen(), staleness, trace};
+  ReportDecision(event, span, latency, observer_);
+  SendOutlierReport(this, report, trace, span);
 }
 
 }  // namespace sensord

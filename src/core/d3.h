@@ -102,19 +102,11 @@ class D3LeafNode : public Node {
   std::vector<uint8_t> SaveState() const override;
   bool RestoreState(const std::vector<uint8_t>& bytes) override;
   void ResetVolatileState() override;
-  void OnRestart(bool restored_from_checkpoint, uint32_t incarnation) override;
+  void OnRestart(bool restored_from_checkpoint) override;
 
   const DensityModel& model() const { return model_; }
-  const D3Options& options() const { return options_; }
-  const IngestValidator& validator() const { return validator_; }
-
-  /// True between an amnesia restart and the model regaining capability
-  /// (total_seen back above min_observations).
-  bool recovering() const { return recovering_; }
 
  private:
-  // Announces rejoin/recovery to the parent.
-  void SendAnnounce(bool restored_from_checkpoint, bool recovered);
   // Closes the recovery window once the model is capable again.
   void MaybeFinishRecovery();
 
@@ -146,15 +138,9 @@ class D3ParentNode : public Node {
   std::vector<uint8_t> SaveState() const override;
   bool RestoreState(const std::vector<uint8_t>& bytes) override;
   void ResetVolatileState() override;
-  void OnRestart(bool restored_from_checkpoint, uint32_t incarnation) override;
+  void OnRestart(bool restored_from_checkpoint) override;
 
   const DensityModel& model() const { return model_; }
-  const D3Options& options() const { return options_; }
-
-  /// True if some child has been silent past options().staleness_threshold
-  /// as of the current simulation time, or some child is mid-recovery from
-  /// an amnesia restart (announced rejoin, not yet reported capable).
-  bool degraded() const;
 
  private:
   void HandleSampleValue(const Point& value);
@@ -162,8 +148,13 @@ class D3ParentNode : public Node {
                            const OutlierReportPayload& report);
   void HandleRejoinAnnounce(NodeId child, const RejoinAnnouncePayload& ann);
   void HandleRejoinResync(const RejoinResyncPayload& resync);
+  // True if at `now` some child has been silent past the staleness
+  // threshold, or is mid-recovery from an amnesia restart (announced
+  // rejoin, not yet reported capable).
   bool ComputeDegraded(SimTime now) const;
-  void SendAnnounce(bool restored_from_checkpoint, bool recovered);
+  // Re-evaluates the degraded state at `now`, counting a rising edge into
+  // core.degraded_windows.
+  void SettleDegraded(SimTime now);
   void MaybeFinishRecovery();
 
   D3Options options_;

@@ -6,7 +6,6 @@
 
 #include "core/detection_telemetry.h"
 #include "core/snapshot.h"
-#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "obs/trace_context.h"
@@ -47,34 +46,19 @@ const MgddMetrics& Metrics() {
   return m;
 }
 
-// Shared with d3.cc by name: degraded-state entries of any detector.
-obs::Counter* DegradedWindowsCounter() {
-  static obs::Counter* const counter =
-      obs::MetricsRegistry::Global().GetCounter("core.degraded_windows");
-  return counter;
-}
-
-// Rejoin-protocol telemetry, shared with d3.cc by name.
-struct RejoinMetrics {
-  obs::Counter* announces;
-  obs::Counter* resyncs;
-  obs::Histogram* ttr_s;
-};
-
-const RejoinMetrics& Rejoin() {
-  auto& registry = obs::MetricsRegistry::Global();
-  static const RejoinMetrics m{
-      registry.GetCounter("recovery.rejoin_announces"),
-      registry.GetCounter("recovery.rejoin_resyncs"),
-      registry.GetHistogram("recovery.time_to_recover_s",
-                            obs::DurationBoundariesS())};
-  return m;
-}
-
 // Snapshot payload versions (core/snapshot.h frame field) of the MGDD node
 // checkpoints. Bump on layout change.
 constexpr uint32_t kMgddLeafSnapshotVersion = 3;
 constexpr uint32_t kMgddInternalSnapshotVersion = 4;
+
+// Fills `payload` with every slot of `snapshot` (a full push).
+void AppendEverySlot(const std::vector<Point>& snapshot,
+                     GlobalModelUpdatePayload* payload) {
+  for (size_t i = 0; i < snapshot.size(); ++i) {
+    payload->updates.push_back(
+        GlobalSlotUpdate{static_cast<uint32_t>(i), snapshot[i]});
+  }
+}
 
 }  // namespace
 
@@ -95,19 +79,7 @@ MgddLeafNode::MgddLeafNode(const MgddOptions& options, Rng rng,
 void MgddLeafNode::OnReading(const Point& value) {
   // Ingest validation firewall, as in D3: drop poisoned readings before
   // the local model — and the upward sample stream — can absorb them.
-  if (validator_.Check(value) != IngestVerdict::kAccept) return;
-  const bool was_quarantined = stuck_.quarantined();
-  if (stuck_.ShouldQuarantine(value)) {
-    if (!was_quarantined) {
-      // Quarantine onset: record the transition and dump the black box so
-      // the readings that led into the stuck run survive for analysis.
-      obs::FlightRecorder::Record(id(), obs::FlightEventKind::kQuarantine,
-                                  sim()->Now(), 0, 0,
-                                  value.empty() ? 0.0 : value[0]);
-      obs::FlightRecorder::Dump(id(), "quarantine", sim()->Now());
-    }
-    return;
-  }
+  if (!AdmitReading(*this, &validator_, &stuck_, value)) return;
 
   // Figure 4, MGDD LeafProcess: update the local model, test the value
   // against the *global* estimator, propagate sample insertions upward.
@@ -136,46 +108,18 @@ void MgddLeafNode::OnReading(const Point& value) {
       const uint64_t span = obs::DeriveSpanId(trace, id(), /*salt=*/level());
       obs::EmitCausalSpan("mgdd.leaf.flag", id(), now, trace, span,
                           /*parent_span=*/0);
-      DetectionLatencyHist(level())->Record(0.0);
-      const double threshold = options_.mdef.k_sigma * result.sigma_mdef;
-      const double staleness = now - last_update_time_;
-      obs::DecisionRecord decision;
-      decision.detector = "mgdd";
-      decision.node = id();
-      decision.level = level();
-      decision.virtual_time = now;
-      decision.trace_id = trace;
-      decision.span_id = span;
-      decision.estimate = result.mdef;
-      decision.threshold = threshold;
-      decision.model_version = replica_version_;
-      decision.staleness_s = staleness;
-      decision.degraded = degraded_state_;
-      obs::EmitDecisionRecord(decision);
-      if (observer_ != nullptr) {
-        OutlierEvent event{DetectorKind::kMgdd, id(),
-                           level(),             value,
-                           now,                 id(),
-                           seq};
-        event.degraded = degraded_state_;
-        event.provenance = OutlierProvenance{
-            result.mdef, threshold, replica_version_, staleness, trace};
-        observer_->OnOutlierDetected(event);
-      }
+      OutlierEvent event{DetectorKind::kMgdd, id(), level(), value, now, id(),
+                         seq};
+      event.degraded = degraded_state_;
+      event.provenance = OutlierProvenance{
+          result.mdef, options_.mdef.k_sigma * result.sigma_mdef,
+          replica_version_, /*staleness_s=*/now - last_update_time_, trace};
+      ReportDecision(event, span, /*latency_s=*/0.0, observer_);
     }
   }
 
-  if (inserted && parent() != kNoNode &&
-      rng_.Bernoulli(options_.sample_fraction)) {
-    Metrics().leaf_propagations->Increment();
-    Message msg;
-    msg.from = id();
-    msg.to = parent();
-    msg.kind = kMsgSampleValue;
-    msg.size_numbers = value.size();
-    msg.payload = MakeSampleValue(value);
-    sim()->Send(std::move(msg));
-  }
+  MaybePropagateSample(this, inserted, value, options_.sample_fraction, &rng_,
+                       Metrics().leaf_propagations);
 }
 
 void MgddLeafNode::HandleMessage(const Message& msg) {
@@ -267,31 +211,12 @@ void MgddLeafNode::ResetVolatileState() {
   restart_time_ = 0.0;
 }
 
-void MgddLeafNode::OnRestart(bool restored_from_checkpoint,
-                             uint32_t incarnation) {
-  (void)incarnation;
+void MgddLeafNode::OnRestart(bool restored_from_checkpoint) {
   recovering_ = true;
   restart_time_ = sim()->Now();
-  SendAnnounce(restored_from_checkpoint, /*recovered=*/false);
+  SendRejoinAnnounce(this, local_model_.total_seen(), restored_from_checkpoint,
+                     /*recovered=*/false);
   MaybeFinishRecovery();
-}
-
-void MgddLeafNode::SendAnnounce(bool restored_from_checkpoint,
-                                bool recovered) {
-  if (parent() == kNoNode) return;
-  Rejoin().announces->Increment();
-  RejoinAnnouncePayload ann;
-  ann.incarnation = sim()->Incarnation(id());
-  ann.restored_seen = local_model_.total_seen();
-  ann.from_checkpoint = restored_from_checkpoint;
-  ann.recovered = recovered;
-  Message msg;
-  msg.from = id();
-  msg.to = parent();
-  msg.kind = kMsgRejoinAnnounce;
-  msg.size_numbers = ann.SizeNumbers();
-  msg.payload = ann;
-  sim()->Send(std::move(msg));
 }
 
 void MgddLeafNode::MaybeFinishRecovery() {
@@ -300,8 +225,9 @@ void MgddLeafNode::MaybeFinishRecovery() {
   if (!HasGlobalModel()) return;
   if (local_model_.total_seen() < options_.min_observations) return;
   recovering_ = false;
-  Rejoin().ttr_s->Record(sim()->Now() - restart_time_);
-  SendAnnounce(/*restored_from_checkpoint=*/false, /*recovered=*/true);
+  RejoinTelemetry().ttr_s->Record(sim()->Now() - restart_time_);
+  SendRejoinAnnounce(this, local_model_.total_seen(),
+                     /*from_checkpoint=*/false, /*recovered=*/true);
 }
 
 bool MgddLeafNode::degraded() const {
@@ -401,16 +327,8 @@ void MgddInternalNode::HandleSampleValue(const Point& value) {
     }
     return;
   }
-  if (inserted && rng_.Bernoulli(options_.sample_fraction)) {
-    Metrics().internal_propagations->Increment();
-    Message msg;
-    msg.from = id();
-    msg.to = parent();
-    msg.kind = kMsgSampleValue;
-    msg.size_numbers = value.size();
-    msg.payload = MakeSampleValue(value);
-    sim()->Send(std::move(msg));
-  }
+  MaybePropagateSample(this, inserted, value, options_.sample_fraction, &rng_,
+                       Metrics().internal_propagations);
 }
 
 void MgddInternalNode::MaybeOriginateUpdate() {
@@ -443,48 +361,36 @@ void MgddInternalNode::MaybeOriginateUpdate() {
         return;
       }
     }
-    for (size_t i = 0; i < snapshot.size(); ++i) {
-      payload.updates.push_back(
-          GlobalSlotUpdate{static_cast<uint32_t>(i), snapshot[i]});
-    }
+    AppendEverySlot(snapshot, &payload);
     last_pushed_estimator_ = model_.Estimator();
   }
-
-  payload.version = ++update_version_;
-  ++updates_originated_;
-  Metrics().updates_originated->Increment();
-  Metrics().update_slots->Record(static_cast<double>(payload.updates.size()));
-  BroadcastToChildren(payload, OriginateUpdateContext(payload.version));
-}
-
-// Roots an update's causal chain: the trace id is a pure function of
-// (root, version), the originate span its root. Returns the context the
-// broadcast stamps onto every child copy.
-obs::TraceContext MgddInternalNode::OriginateUpdateContext(uint64_t version) {
-  const uint64_t trace = obs::DeriveUpdateTraceId(id(), version);
-  const uint64_t span = obs::DeriveSpanId(trace, id(), /*salt=*/level());
-  obs::EmitCausalSpan("mgdd.originate_update", id(), sim()->Now(), trace,
-                      span, /*parent_span=*/0);
-  return obs::TraceContext{trace, span};
+  OriginateUpdate(&payload);
 }
 
 void MgddInternalNode::BroadcastFullSnapshot() {
   if (!model_.Ready()) return;  // nothing to push yet
-  Rejoin().resyncs->Increment();
+  RejoinTelemetry().resyncs->Increment();
   const std::vector<Point> snapshot = model_.sample().Snapshot();
   GlobalModelUpdatePayload payload;
   payload.stddevs = model_.BandwidthSpreads();
-  for (size_t i = 0; i < snapshot.size(); ++i) {
-    payload.updates.push_back(
-        GlobalSlotUpdate{static_cast<uint32_t>(i), snapshot[i]});
-  }
+  AppendEverySlot(snapshot, &payload);
   // Keep the diff baseline in step with what the replicas now hold.
   last_broadcast_sample_ = snapshot;
-  payload.version = ++update_version_;
-  ++updates_originated_;
+  OriginateUpdate(&payload);
+}
+
+void MgddInternalNode::OriginateUpdate(GlobalModelUpdatePayload* payload) {
+  payload->version = ++update_version_;
   Metrics().updates_originated->Increment();
-  Metrics().update_slots->Record(static_cast<double>(payload.updates.size()));
-  BroadcastToChildren(payload, OriginateUpdateContext(payload.version));
+  Metrics().update_slots->Record(static_cast<double>(payload->updates.size()));
+  // Root the update's causal chain: the trace id is a pure function of
+  // (root, version), the originate span its root, and every child copy
+  // carries that span as its parent.
+  const uint64_t trace = obs::DeriveUpdateTraceId(id(), payload->version);
+  const uint64_t span = obs::DeriveSpanId(trace, id(), /*salt=*/level());
+  obs::EmitCausalSpan("mgdd.originate_update", id(), sim()->Now(), trace,
+                      span, /*parent_span=*/0);
+  BroadcastToChildren(*payload, obs::TraceContext{trace, span});
 }
 
 std::vector<uint8_t> MgddInternalNode::SaveState() const {
@@ -519,13 +425,10 @@ void MgddInternalNode::ResetVolatileState() {
   last_broadcast_sample_.clear();
   last_pushed_estimator_.reset();
   update_version_ = 0;
-  updates_originated_ = 0;
   last_sample_version_ = 0;
 }
 
-void MgddInternalNode::OnRestart(bool restored_from_checkpoint,
-                                 uint32_t incarnation) {
-  (void)incarnation;
+void MgddInternalNode::OnRestart(bool restored_from_checkpoint) {
   if (is_root()) {
     // A freshly restored root re-pushes its sample so every replica is
     // known-consistent with the new incarnation's model.
@@ -534,19 +437,8 @@ void MgddInternalNode::OnRestart(bool restored_from_checkpoint,
   }
   // Announce upward: the root answers any rejoin with a full snapshot,
   // which this node relays down — healing its own subtree's replicas.
-  Rejoin().announces->Increment();
-  RejoinAnnouncePayload ann;
-  ann.incarnation = sim()->Incarnation(id());
-  ann.restored_seen = model_.total_seen();
-  ann.from_checkpoint = restored_from_checkpoint;
-  ann.recovered = false;
-  Message msg;
-  msg.from = id();
-  msg.to = parent();
-  msg.kind = kMsgRejoinAnnounce;
-  msg.size_numbers = ann.SizeNumbers();
-  msg.payload = ann;
-  sim()->Send(std::move(msg));
+  SendRejoinAnnounce(this, model_.total_seen(), restored_from_checkpoint,
+                     /*recovered=*/false);
 }
 
 void MgddInternalNode::BroadcastToChildren(

@@ -105,13 +105,9 @@ class MgddLeafNode : public Node {
   std::vector<uint8_t> SaveState() const override;
   bool RestoreState(const std::vector<uint8_t>& bytes) override;
   void ResetVolatileState() override;
-  void OnRestart(bool restored_from_checkpoint, uint32_t incarnation) override;
+  void OnRestart(bool restored_from_checkpoint) override;
 
   const DensityModel& local_model() const { return local_model_; }
-
-  /// True between an amnesia restart and the leaf being capable again
-  /// (local model warm and a global replica in hand).
-  bool recovering() const { return recovering_; }
 
   /// True once at least one global update has been received.
   bool HasGlobalModel() const { return !global_sample_.empty(); }
@@ -128,8 +124,6 @@ class MgddLeafNode : public Node {
   bool degraded() const;
 
  private:
-  // Announces rejoin/recovery to the parent.
-  void SendAnnounce(bool restored_from_checkpoint, bool recovered);
   // Closes the recovery window once the leaf is capable again.
   void MaybeFinishRecovery();
 
@@ -173,12 +167,9 @@ class MgddInternalNode : public Node {
   std::vector<uint8_t> SaveState() const override;
   bool RestoreState(const std::vector<uint8_t>& bytes) override;
   void ResetVolatileState() override;
-  void OnRestart(bool restored_from_checkpoint, uint32_t incarnation) override;
+  void OnRestart(bool restored_from_checkpoint) override;
 
   const DensityModel& model() const { return model_; }
-
-  /// Number of global updates this node originated (root only).
-  uint64_t updates_originated() const { return updates_originated_; }
 
  private:
   void HandleSampleValue(const Point& value);
@@ -186,9 +177,9 @@ class MgddInternalNode : public Node {
   void MaybeOriginateUpdate();
   // Pushes every slot of the current sample to the children (root only).
   void BroadcastFullSnapshot();
-  // Roots a new update chain (emits the originate span) and returns the
-  // trace context the broadcast stamps onto every child copy.
-  obs::TraceContext OriginateUpdateContext(uint64_t version);
+  // Stamps the next version on `payload`, counts it, roots its causal
+  // chain (the originate span) and broadcasts it to the children.
+  void OriginateUpdate(GlobalModelUpdatePayload* payload);
   void BroadcastToChildren(const GlobalModelUpdatePayload& payload,
                            const obs::TraceContext& ctx);
 
@@ -201,7 +192,6 @@ class MgddInternalNode : public Node {
   std::vector<Point> last_broadcast_sample_;
   std::optional<KernelDensityEstimator> last_pushed_estimator_;
   uint64_t update_version_ = 0;
-  uint64_t updates_originated_ = 0;
   uint64_t last_sample_version_ = 0;
 };
 

@@ -1,9 +1,10 @@
 // Copyright (c) the sensord authors. Licensed under the Apache License 2.0.
 //
-// Wire protocol of the D3 and MGDD algorithms: message kinds and payloads.
-// Payload sizes (Message::size_numbers) follow the paper's accounting — the
-// numeric values a real radio would carry, at 2 bytes per number on the
-// assumed 16-bit architecture.
+// Wire protocol of the D3 and MGDD algorithms: message kinds, payloads, and
+// the protocol steps every detector node shares. Payload sizes
+// (Message::size_numbers) follow the paper's accounting — the numeric values
+// a real radio would carry, at 2 bytes per number on the assumed 16-bit
+// architecture.
 
 #ifndef SENSORD_CORE_PROTOCOL_H_
 #define SENSORD_CORE_PROTOCOL_H_
@@ -13,8 +14,14 @@
 #include <utility>
 #include <vector>
 
+#include "core/faulty_sensor.h"
+#include "core/outlier_observer.h"
+#include "data/validate.h"
 #include "net/message.h"
+#include "net/node.h"
+#include "obs/metrics.h"
 #include "util/math_utils.h"
+#include "util/rng.h"
 
 namespace sensord {
 
@@ -137,6 +144,42 @@ struct GlobalModelUpdatePayload {
     return updates.size() * (1 + dimensions) + stddevs.size() + 1;
   }
 };
+
+// ---- Protocol steps shared by the D3 and MGDD nodes ----------------------
+// Each acts on behalf of `node`, which must be registered with a Simulator.
+
+/// Sample propagation (D3 lines 14-15 / 30, MGDD lines 13-14 / 20-21): if
+/// `inserted` (the value entered the node's sample) and the node has a
+/// parent, sends `value` upward w.p. `fraction` (drawn from `rng`), bumping
+/// `propagations` first.
+void MaybePropagateSample(Node* node, bool inserted, const Point& value,
+                          double fraction, Rng* rng,
+                          obs::Counter* propagations);
+
+/// Escalates a flagged value to the node's parent as kMsgOutlierReport,
+/// continuing causal chain `trace_id` from `span_id`. No-op at the root.
+void SendOutlierReport(Node* node, const OutlierReportPayload& report,
+                       uint64_t trace_id, uint64_t span_id);
+
+/// Announces a rejoin (or, if `recovered`, recovery complete) to the
+/// node's parent, stamped with its current incarnation, and bumps
+/// recovery.rejoin_announces. No-op at the root, which rejoins nobody.
+void SendRejoinAnnounce(Node* node, uint64_t restored_seen,
+                        bool from_checkpoint, bool recovered);
+
+/// The leaf ingest gate: true if `value` passes the validation firewall and
+/// is not part of a stuck-sensor run. Quarantine onset is flight-recorded
+/// and dumps the node's black box, so the readings that led into the stuck
+/// run survive for analysis.
+bool AdmitReading(const Node& node, IngestValidator* validator,
+                  StuckSensorDetector* stuck, const Point& value);
+
+/// Reports one outlier decision (DESIGN.md §11), in order: the per-tier
+/// detection-latency histogram, the trace sink's DecisionRecord — derived
+/// from `event` and its provenance plus the deciding `span_id` and
+/// `latency_s` — and then `observer` (may be null).
+void ReportDecision(const OutlierEvent& event, uint64_t span_id,
+                    double latency_s, OutlierObserver* observer);
 
 }  // namespace sensord
 

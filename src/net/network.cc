@@ -248,7 +248,7 @@ void Simulator::RestartNode(NodeId node) {
   // The window between dumps covers exactly the rejoin transition: whatever
   // the node did between crash onset (the "crash" dump) and coming back.
   obs::FlightRecorder::Dump(node, "rejoin", Now());
-  n.OnRestart(restored, transport_->incarnation(node));
+  n.OnRestart(restored);
 }
 
 void Simulator::SchedulePeriodicReadings(NodeId node, SimTime start,

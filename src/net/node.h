@@ -69,11 +69,11 @@ class Node {
   virtual void ResetVolatileState() {}
 
   /// Called after an amnesia restart completes, with whether a checkpoint
-  /// was restored and the node's new transport incarnation. Detector nodes
-  /// use this to announce their rejoin to the parent. Default: no-op.
-  virtual void OnRestart(bool restored_from_checkpoint, uint32_t incarnation) {
+  /// was restored. The node's new transport incarnation is
+  /// Simulator::Incarnation(id()). Detector nodes use this to announce their
+  /// rejoin to the parent. Default: no-op.
+  virtual void OnRestart(bool restored_from_checkpoint) {
     (void)restored_from_checkpoint;
-    (void)incarnation;
   }
 
   NodeId id() const { return id_; }

@@ -11,7 +11,8 @@ namespace {
 
 // Human-readable labels for the well-known kinds in core/protocol.h. The
 // transport layer is application-agnostic, so the names are mirrored here
-// rather than included — keep in sync with core/protocol.h.
+// rather than included — keep in sync with core/protocol.h (the
+// StatsCollectorTest.EveryProtocolKindHasALabel test checks the mirror).
 const char* KindLabel(MessageKind kind) {
   switch (kind) {
     case 1: return "sample_value";
@@ -20,6 +21,8 @@ const char* KindLabel(MessageKind kind) {
     case 4: return "raw_reading";
     case 5: return "query_request";
     case 6: return "query_response";
+    case 7: return "rejoin_announce";
+    case 8: return "rejoin_resync";
     case kMsgTransportAck: return "transport_ack";
     default: return nullptr;
   }
@@ -29,7 +32,7 @@ obs::Counter* KindCounter(MessageKind kind) {
   auto& registry = obs::MetricsRegistry::Global();
   // Fast path: the well-known protocol kinds resolve through a small cache
   // so steady-state sends skip the registry's name lookup entirely.
-  constexpr MessageKind kCached = 8;
+  constexpr MessageKind kCached = 9;
   static std::array<obs::Counter*, kCached> cache = [] {
     auto& reg = obs::MetricsRegistry::Global();
     std::array<obs::Counter*, kCached> out{};

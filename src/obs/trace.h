@@ -121,7 +121,8 @@ void EmitCausalSpan(const char* name, int64_t node, double virtual_time,
 
 /// The provenance of one detection decision, mirrored from OutlierEvent
 /// (core/outlier_observer.h) into the trace sink so reports can explain
-/// every decision without the binary's observer hooks.
+/// every decision without the binary's observer hooks. The detectors derive
+/// it from the event in one place, ReportDecision (core/protocol.h).
 struct DecisionRecord {
   const char* detector = "";  ///< "d3" | "mgdd" (short literal)
   int64_t node = -1;

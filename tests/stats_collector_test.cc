@@ -1,7 +1,10 @@
 #include "net/stats_collector.h"
 
+#include <string>
+
 #include <gtest/gtest.h>
 
+#include "core/protocol.h"
 #include "obs/metrics.h"
 
 namespace sensord {
@@ -78,6 +81,30 @@ TEST(StatsCollectorTest, MirrorsIntoGlobalRegistry) {
   stats.Reset();
   EXPECT_EQ(stats.TotalMessages(), 0u);
   EXPECT_EQ(total->value(), total0 + 2);
+}
+
+// The kind labels mirror core/protocol.h: every shipped kind must export
+// under its name, never the net.messages.kind_<n> fallback.
+TEST(StatsCollectorTest, EveryProtocolKindHasALabel) {
+  StatsCollector stats;
+  for (MessageKind kind :
+       {kMsgSampleValue, kMsgOutlierReport, kMsgGlobalModelUpdate,
+        kMsgRawReading, kMsgQueryRequest, kMsgQueryResponse,
+        kMsgRejoinAnnounce, kMsgRejoinResync}) {
+    stats.RecordSend(MakeMessage(kind, 1));
+  }
+  EXPECT_EQ(stats.TotalMessages(), 8u);
+  for (const obs::MetricSnapshot& m :
+       obs::MetricsRegistry::Global().Snapshot()) {
+    for (MessageKind kind = kMsgSampleValue; kind <= kMsgRejoinResync;
+         ++kind) {
+      EXPECT_NE(m.name, "net.messages.kind_" + std::to_string(kind));
+    }
+  }
+  EXPECT_NE(obs::MetricsRegistry::Global()
+                .GetCounter("net.messages.rejoin_resync")
+                ->value(),
+            0u);
 }
 
 TEST(StatsCollectorTest, ResetClearsEverything) {
