@@ -1,11 +1,11 @@
 // Micro-benchmarks (google-benchmark) for the paper's per-operation cost
 // claims: O(d|R|) box range queries — O(log|R| + |R'|) in 1-d — cheap chain
-// sample and variance sketch updates (Theorems 1, 2, 4), MDEF evaluation,
-// and JS divergence on a grid. The BM_Obs* group holds the obs layer to its
-// budget: counter updates and histogram records in single-digit
-// nanoseconds, disabled instrumentation at zero allocations per event
-// (reported as the allocs_per_op counter via the operator new override
-// below).
+// sample and variance sketch updates (Theorems 1, 2, 4), estimator
+// rebuilds, MDEF evaluation, and JS divergence on a grid. The BM_Obs* group
+// holds the obs layer to its budget: counter updates and histogram records
+// in single-digit nanoseconds, disabled instrumentation at zero allocations
+// per event (reported as the allocs_per_op counter via the operator new
+// override below).
 
 #include <benchmark/benchmark.h>
 
@@ -92,6 +92,22 @@ void BM_VarianceSketchAdd(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_VarianceSketchAdd)->Arg(10000)->Arg(20000);
+
+// One StdDev() query of a full sketch over the paper's 3-Gaussian mixture:
+// the newest-first fold over every bucket (≈940 at ε = 0.2, |W| = 10000)
+// that each estimator rebuild pays per dimension for Scott's rule.
+void BM_VarianceSketchStdDev(benchmark::State& state) {
+  const size_t window = static_cast<size_t>(state.range(0));
+  VarianceSketch sketch(window, 0.2);
+  SyntheticMixtureStream stream(SyntheticOptions{}, Rng(3));
+  for (size_t i = 0; i < 2 * window; ++i) sketch.Add(stream.Next()[0]);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sketch.StdDev());
+  }
+  state.counters["buckets"] = static_cast<double>(sketch.NumBuckets());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_VarianceSketchStdDev)->Arg(10000);
 
 void BM_KdeBoxQuery1d(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
@@ -309,10 +325,11 @@ void BM_DensityModelObserve(benchmark::State& state) {
 }
 BENCHMARK(BM_DensityModelObserve)->Arg(500)->Arg(2000);
 
-// The zero-realloc rebuild contract: once the flat scratch and the
-// estimator ping-pong buffers are warm, materializing a fresh estimator
+// The zero-realloc rebuild contract: once the maintained canonical buffer
+// and the estimator's storage are warm, materializing a fresh estimator
 // performs a small constant number of O(d) allocations and zero per-point
-// ones — allocs_per_rebuild must not grow from Arg(512) to Arg(2048).
+// ones — allocs_per_rebuild must not grow from Arg(512) to Arg(2048)
+// (scripts/bench.sh fails if it does).
 void BM_DensityModelRebuild(benchmark::State& state) {
   DensityModelConfig cfg;
   cfg.dimensions = 2;
@@ -328,9 +345,9 @@ void BM_DensityModelRebuild(benchmark::State& state) {
     model.Observe(p);
   };
   for (size_t i = 0; i < cfg.window_size; ++i) feed();
-  model.Estimator();  // allocates the scratch and the first estimator
+  model.Estimator();  // allocates the canonical buffer and first estimator
   feed();
-  model.Estimator();  // establishes the steady-state ping-pong
+  model.Estimator();  // recycles the first estimator's storage from now on
   uint64_t rebuild_allocs = 0;
   for (auto _ : state) {
     feed();
@@ -345,6 +362,46 @@ void BM_DensityModelRebuild(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_DensityModelRebuild)->Arg(512)->Arg(2048);
+
+// A D3 leaf's per-reading model work in the perf benchmark's d3_1d shape:
+// |W| = 10000, |R| = Arg, the default estimator age, the paper's
+// 3-Gaussian mixture; one Observe + Estimator() per iteration. The sample
+// changes about once every ten readings, and each change costs one
+// rebuild (rebuilds_per_op); allocs_per_rebuild is the rebuild's O(d)
+// vector count.
+void BM_DensityModelRebuild1d(benchmark::State& state) {
+  DensityModelConfig cfg;
+  cfg.dimensions = 1;
+  cfg.window_size = 10000;
+  cfg.sample_size = static_cast<size_t>(state.range(0));
+  DensityModel model(cfg, Rng(20));
+  SyntheticMixtureStream stream(SyntheticOptions{}, Rng(21));
+  for (size_t i = 0; i < cfg.window_size; ++i) model.Observe(stream.Next());
+  model.Estimator();
+  std::vector<Point> readings(4096);
+  for (Point& p : readings) p = stream.Next();
+  obs::Counter* rebuilds = obs::MetricsRegistry::Global().GetCounter(
+      "core.density_model.estimator_rebuilds");
+  const uint64_t rebuilds_before = rebuilds->value();
+  uint64_t allocs = 0;
+  size_t next = 0;
+  for (auto _ : state) {
+    model.Observe(readings[next]);
+    next = (next + 1) % readings.size();
+    const uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+    benchmark::DoNotOptimize(&model.Estimator());
+    allocs += g_alloc_count.load(std::memory_order_relaxed) - before;
+  }
+  const double rebuilt =
+      static_cast<double>(rebuilds->value() - rebuilds_before);
+  state.counters["rebuilds_per_op"] =
+      rebuilt /
+      static_cast<double>(state.iterations() > 0 ? state.iterations() : 1);
+  state.counters["allocs_per_rebuild"] =
+      static_cast<double>(allocs) / (rebuilt > 0.0 ? rebuilt : 1.0);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_DensityModelRebuild1d)->Arg(500);
 
 // --- obs layer overhead -----------------------------------------------------
 

@@ -40,7 +40,7 @@ echo "=== bench.sh [1/5] micro_benchmarks -> ${OUT_DIR}/BENCH_micro.json ==="
 # still runs when SENSORD_QUICK=0.
 FILTER=""
 if [ "${SENSORD_QUICK}" != "0" ]; then
-  FILTER="--benchmark_filter=(BM_Obs.*|BM_ChainSampleAdd/128|BM_KdeBoxQuery1d/128|BM_KdeBoxQueryPruned2d/512|BM_KdeBoxQueryPruned3d/512|BM_MdefEvaluation2dScott/512|BM_DensityModelRebuild/512)"
+  FILTER="--benchmark_filter=(BM_Obs.*|BM_ChainSampleAdd/128|BM_KdeBoxQuery1d/128|BM_KdeBoxQueryPruned2d/512|BM_KdeBoxQueryPruned3d/512|BM_MdefEvaluation2dScott/512|BM_DensityModelRebuild/(512|2048)|BM_DensityModelRebuild1d/500|BM_VarianceSketchStdDev/10000)"
   export BENCHMARK_MIN_TIME="${BENCHMARK_MIN_TIME:-0.05}"
 fi
 build/release/bench/micro_benchmarks ${FILTER} \
@@ -74,10 +74,21 @@ python3 - "$OUT_DIR/BENCH_micro.json" \
     "$OUT_DIR/BENCH_ablation_packet_loss.json" \
     "$OUT_DIR/BENCH_ablation_crash_recovery.json" <<'EOF'
 import json, sys
+docs = {}
 for path in sys.argv[1:]:
     with open(path) as f:
-        json.load(f)
+        docs[path] = json.load(f)
     print(f"bench.sh: {path} is valid JSON")
+# The flat-buffer rebuild contract (DESIGN.md §13): a warm rebuild allocates
+# the same O(d) vectors whatever |R| is.
+allocs = {b["name"]: b.get("allocs_per_rebuild")
+          for b in docs[sys.argv[1]]["benchmarks"]}
+small = allocs.get("BM_DensityModelRebuild/512")
+large = allocs.get("BM_DensityModelRebuild/2048")
+if small is None or large is None or small != large:
+    sys.exit(f"bench.sh: allocs_per_rebuild differs across |R| "
+             f"(/512: {small}, /2048: {large}); rebuilds allocate per point")
+print(f"bench.sh: allocs_per_rebuild {small:g} at |R| = 512 and 2048")
 EOF
 
 echo "bench.sh: done"

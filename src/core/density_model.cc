@@ -1,6 +1,8 @@
 #include "core/density_model.h"
 
 #include <algorithm>
+#include <cmath>
+#include <cstring>
 
 #include "core/snapshot.h"
 #include "obs/metrics.h"
@@ -33,6 +35,22 @@ const DensityModelMetrics& Metrics() {
   return m;
 }
 
+// First row in [begin, end) of the canonically ordered `rows` that is not
+// canonically less than `key`.
+size_t CanonicalLowerBound(const FlatPoints& rows, size_t axis, size_t begin,
+                           size_t end, const double* key) {
+  const size_t d = rows.dimensions();
+  while (begin < end) {
+    const size_t mid = begin + (end - begin) / 2;
+    if (KernelDensityEstimator::CanonicalLess(rows.Row(mid), key, d, axis)) {
+      begin = mid + 1;
+    } else {
+      end = mid;
+    }
+  }
+  return begin;
+}
+
 }  // namespace
 
 DensityModel::DensityModel(const DensityModelConfig& config, Rng rng)
@@ -48,10 +66,51 @@ DensityModel::DensityModel(const DensityModelConfig& config, Rng rng)
 
 bool DensityModel::Observe(const Point& p) {
   SENSORD_DCHECK_EQ(p.size(), config_.dimensions);
+  SENSORD_DCHECK(std::all_of(p.begin(), p.end(),
+                             [](double c) { return std::isfinite(c); }));
   const obs::ScopedTimer timer(Metrics().observe_ns);
   Metrics().observes->Increment();
   for (size_t i = 0; i < config_.dimensions; ++i) sketches_[i].Add(p[i]);
-  return sample_.Add(p);
+  if (canonical_.empty()) return sample_.Add(p);
+  const bool entered = sample_.Add(p, &sample_changes_);
+  PatchCanonical();
+  return entered;
+}
+
+void DensityModel::PatchCanonical() {
+  // The buffer exists only alongside a cached estimator, whose order it
+  // keeps, and only once the sample is seeded, so every change displaces
+  // exactly one row.
+  const FlatPoints& departed = sample_changes_.departed;
+  const FlatPoints& arrived = sample_changes_.arrived;
+  SENSORD_DCHECK_EQ(departed.size(), arrived.size());
+  const size_t d = canonical_.dimensions();
+  const size_t n = canonical_.size();
+  const size_t axis = cached_->primary_axis();
+  double* rows = canonical_.mutable_data()->data();
+  // Changes apply in the order the sample made them, so a row that arrived
+  // earlier in the same Add() (an expiry's new front) can depart later (a
+  // restart of that chain).
+  for (size_t k = 0; k < arrived.size(); ++k) {
+    const double* out = departed.Row(k);
+    const double* in = arrived.Row(k);
+    const size_t from = CanonicalLowerBound(canonical_, axis, 0, n, out);
+    SENSORD_CHECK(from < n &&
+                  std::memcmp(rows + from * d, out, d * sizeof(double)) == 0 &&
+                  "maintained canonical sample lost a departed row");
+    // Slide the rows between the departed row's slot and the arrived row's
+    // slot over by one, then write the arrived row into the freed slot.
+    size_t to;
+    if (KernelDensityEstimator::CanonicalLess(in, out, d, axis)) {
+      to = CanonicalLowerBound(canonical_, axis, 0, from, in);
+      std::copy_backward(rows + to * d, rows + from * d,
+                         rows + (from + 1) * d);
+    } else {
+      to = CanonicalLowerBound(canonical_, axis, from + 1, n, in) - 1;
+      std::copy(rows + (from + 1) * d, rows + (to + 1) * d, rows + from * d);
+    }
+    std::copy(in, in + d, rows + to * d);
+  }
 }
 
 const KernelDensityEstimator& DensityModel::Estimator() const {
@@ -64,21 +123,31 @@ const KernelDensityEstimator& DensityModel::Estimator() const {
   if (stale) {
     const obs::ScopedTimer timer(Metrics().rebuild_ns);
     Metrics().estimator_rebuilds->Increment();
-    // Zero per-point-allocation rebuild (DESIGN.md §13): export the sample
-    // into the warm scratch buffer, compute the spreads from it, move the
-    // buffer into the new estimator, then steal the displaced estimator's
-    // buffer back as the next rebuild's scratch. After the second rebuild
-    // the two flat buffers just ping-pong; only O(d) vectors (spreads,
-    // bandwidths, kernels) are allocated per rebuild.
-    sample_.SnapshotTo(&rebuild_scratch_);
-    const std::vector<double> spreads = SpreadsFrom(rebuild_scratch_);
-    auto built = KernelDensityEstimator::CreateWithScottBandwidths(
-        std::move(rebuild_scratch_), spreads);
-    SENSORD_CHECK_OK(built.status());  // inputs are valid by construction
+    // Zero per-point-allocation rebuild (DESIGN.md §13): the new estimator
+    // takes over the retiring one's buffer, refilled from the maintained
+    // canonical buffer, which Create() then finds already sorted. Only O(d)
+    // vectors (spreads, bandwidths, kernels) are allocated per rebuild.
+    const bool maintained = !canonical_.empty();
+    size_t axis = 0;
+    FlatPoints storage;
     if (cached_.has_value()) {
-      rebuild_scratch_ = std::move(*cached_).ReleaseSampleStorage();
+      axis = cached_->primary_axis();
+      storage = std::move(*cached_).ReleaseSampleStorage();
     }
+    if (maintained) {
+      storage = canonical_;
+    } else {
+      sample_.SnapshotTo(&storage);
+    }
+    auto built = KernelDensityEstimator::CreateWithScottBandwidths(
+        std::move(storage), BandwidthSpreads());
+    SENSORD_CHECK_OK(built.status());  // inputs are valid by construction
     cached_.emplace(std::move(built).value());
+    // First build, or Create() re-sorted along a new primary axis (d > 1):
+    // the buffer adopts the estimator's order from here on.
+    if (!maintained || cached_->primary_axis() != axis) {
+      canonical_ = cached_->sample();
+    }
     cached_sample_version_ = version;
     cached_at_count_ = seen;
   } else {
@@ -107,23 +176,16 @@ std::vector<double> DensityModel::StdDevs() const {
 }
 
 std::vector<double> DensityModel::BandwidthSpreads() const {
-  if (!config_.robust_bandwidth || !sample_.seeded()) return StdDevs();
-  sample_.SnapshotTo(&rebuild_scratch_);
-  return SpreadsFrom(rebuild_scratch_);
-}
-
-std::vector<double> DensityModel::SpreadsFrom(
-    const FlatPoints& snapshot) const {
   std::vector<double> spreads = StdDevs();
-  if (!config_.robust_bandwidth || snapshot.empty()) return spreads;
+  if (!config_.robust_bandwidth || !sample_.seeded()) return spreads;
   // Silverman's robust variant: temper each sigma with the sample IQR so
   // rare excursions do not inflate the bandwidth of the bulk. One warm
-  // coordinate buffer serves every dimension (QuantileSorted interpolates
-  // exactly like Quantile, so the spreads are unchanged bit for bit).
+  // coordinate buffer serves every dimension; the quantiles of the sorted
+  // coordinates do not depend on the order the chains are read in.
   for (size_t dim = 0; dim < spreads.size(); ++dim) {
     coord_scratch_.clear();
-    for (size_t row = 0; row < snapshot.size(); ++row) {
-      coord_scratch_.push_back(snapshot.At(row, dim));
+    for (size_t c = 0; c < sample_.sample_size(); ++c) {
+      coord_scratch_.push_back(sample_.ActiveElement(c)[dim]);
     }
     std::sort(coord_scratch_.begin(), coord_scratch_.end());
     const double iqr = QuantileSorted(coord_scratch_, 0.75) -
@@ -147,15 +209,18 @@ void DensityModel::Serialize(SnapshotWriter* writer) const {
 }
 
 bool DensityModel::Restore(SnapshotReader* reader) {
+  // Derived state goes first, so even a failed restore leaves nothing that
+  // describes the old sample.
+  cached_.reset();
+  cached_sample_version_ = 0;
+  cached_at_count_ = 0;
+  canonical_.Reset(0);
   const uint32_t dimensions = reader->TakeU32();
   if (!reader->ok() || dimensions != config_.dimensions) return false;
   if (!sample_.Restore(reader)) return false;
   for (VarianceSketch& s : sketches_) {
     if (!s.Restore(reader)) return false;
   }
-  cached_.reset();
-  cached_sample_version_ = 0;
-  cached_at_count_ = 0;
   return true;
 }
 

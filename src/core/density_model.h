@@ -9,6 +9,11 @@
 // approximate sigmas) whenever a query needs one. Total memory is the
 // paper's Theorem 1 bound, O(d(|R| + (1/eps^2) log |W|)).
 //
+// Materializing is cheap because, from its first query on, the model keeps
+// a copy of the sample in the estimator's canonical order and patches it
+// on every sample change (DESIGN.md §13): a rebuild copies that buffer and
+// never sorts. A model that is never queried never creates the buffer.
+//
 // The same class serves leaves and leaders: a leader's model consumes the
 // thinned stream of sample values its children propagate (Section 5.1) and
 // is configured with the *logical* population it speaks for, so that
@@ -45,14 +50,17 @@ class DensityModel {
   /// Feeds the next observation. Returns true iff the observation entered
   /// the sample — the event that triggers probabilistic propagation to the
   /// parent in D3 and MGDD (Figure 4, "if (S(i) included in R)").
-  /// Pre: p.size() == config().dimensions.
+  /// Pre: p.size() == config().dimensions, and every coordinate is finite
+  /// (screen raw readings through an IngestValidator first): the canonical
+  /// sample order has no place for NaN.
   bool Observe(const Point& p);
 
   /// True once the model can answer queries (at least one observation).
   bool Ready() const { return sample_.seeded(); }
 
   /// The current kernel estimator, rebuilt lazily when the sample changed
-  /// or the cached estimator aged past config.max_estimator_age.
+  /// or the cached estimator aged past config.max_estimator_age. The first
+  /// call starts the maintained canonical buffer that later rebuilds copy.
   /// Pre: Ready().
   const KernelDensityEstimator& Estimator() const;
 
@@ -82,6 +90,10 @@ class DensityModel {
     return sketches_[dim];
   }
 
+  /// The maintained copy of the sample in the cached estimator's canonical
+  /// order; empty before the first Estimator() call and after Restore().
+  const FlatPoints& canonical_sample() const { return canonical_; }
+
   /// Memory footprint of the retained state (sample + variance sketches)
   /// under the paper's bytes-per-number accounting (Section 10.3).
   size_t MemoryBytes(size_t bytes_per_number) const;
@@ -98,12 +110,14 @@ class DensityModel {
   /// Overwrites this model with state previously written by Serialize() on
   /// a model with the same configuration. Returns false (model unspecified,
   /// safe to destroy or reassign) on reader failure or config mismatch.
+  /// Drops the cached estimator and the maintained canonical buffer; the
+  /// next Estimator() starts both afresh from the restored sample.
   bool Restore(SnapshotReader* reader);
 
  private:
-  // BandwidthSpreads() over an already-exported flat snapshot of the sample
-  // (the rebuild path computes the snapshot once and reuses it here).
-  std::vector<double> SpreadsFrom(const FlatPoints& snapshot) const;
+  // Applies sample_changes_ — one departed -> arrived row replacement per
+  // active-sample change — to canonical_.
+  void PatchCanonical();
 
   DensityModelConfig config_;
   ChainSample sample_;
@@ -114,16 +128,19 @@ class DensityModel {
   mutable uint64_t cached_sample_version_ = 0;
   mutable uint64_t cached_at_count_ = 0;
 
-  // Warm buffers for the rebuild path (DESIGN.md §13): the sample is
-  // exported into rebuild_scratch_, handed to the new estimator, and the
-  // displaced estimator's buffer is stolen back as the next scratch — two
-  // heap blocks ping-pong forever, so a steady-state rebuild performs zero
-  // per-point allocations. coord_scratch_ serves the robust-bandwidth IQR
-  // the same way. mutable for the same reason as cached_: rebuilds happen
-  // inside const queries, and a DensityModel is single-owner state (the
-  // simulator's event loop is serial, so no model is shared across
-  // threads).
-  mutable FlatPoints rebuild_scratch_;
+  // The active sample in the cached estimator's canonical order
+  // (KernelDensityEstimator::CanonicalLess on its primary axis), or empty
+  // while not maintained: it is created by the first Estimator() call and
+  // dropped by Restore(). Observe() patches it through sample_changes_ (the
+  // chain sample's reused change report), so a rebuild copies it into the
+  // retiring estimator's storage and Create() finds it sorted; after a
+  // primary-axis change (d > 1) Create() re-sorts and the buffer adopts the
+  // new order. coord_scratch_ is the robust-bandwidth IQR's warm buffer.
+  // mutable because rebuilds happen inside const queries; a DensityModel is
+  // single-owner state (the simulator's event loop is serial, so no model
+  // is shared across threads).
+  mutable FlatPoints canonical_;
+  SampleChanges sample_changes_;
   mutable std::vector<double> coord_scratch_;
 };
 

@@ -54,6 +54,7 @@ QuerySensorNode::QuerySensorNode(const DensityModelConfig& config, Rng rng)
     : model_(config, rng) {}
 
 void QuerySensorNode::OnReading(const Point& value) {
+  if (validator_.Check(value) != IngestVerdict::kAccept) return;
   model_.Observe(value);
 }
 

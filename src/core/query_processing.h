@@ -25,6 +25,7 @@
 
 #include "core/config.h"
 #include "core/density_model.h"
+#include "data/validate.h"
 #include "net/network.h"
 #include "net/node.h"
 #include "util/math_utils.h"
@@ -72,7 +73,9 @@ struct QueryRequestPayload {
 };
 
 /// A leaf sensor that maintains a density model of its own stream and
-/// answers queries from it.
+/// answers queries from it. Raw readings pass the ingest firewall
+/// (data/validate.h, default policy: non-finite readings are rejected and
+/// counted in ingest.rejected.*) before the model sees them.
 class QuerySensorNode : public Node {
  public:
   QuerySensorNode(const DensityModelConfig& config, Rng rng);
@@ -84,6 +87,7 @@ class QuerySensorNode : public Node {
 
  private:
   DensityModel model_;
+  IngestValidator validator_{IngestPolicy{}};
 };
 
 /// An interior node that disseminates queries down and combines partial

@@ -1,6 +1,7 @@
 #include "stats/kde.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 
 #include "core/snapshot.h"
@@ -97,45 +98,53 @@ KernelDensityEstimator::KernelDensityEstimator(FlatPoints sample,
 
 void KernelDensityEstimator::Canonicalize() {
   const size_t d = kernels_.size();
-  if (d == 1) {
-    // 1-d canonical order is the plain sorted order; the flat buffer *is*
-    // the sorted coordinate array the fast path binary-searches.
-    std::vector<double>& coords = *sample_.mutable_data();
-    std::sort(coords.begin(), coords.end());
-    return;
-  }
   // Primary axis: the axis where a sorted-order window [lo - B, hi + B]
   // prunes best, i.e. with the largest spread/bandwidth ratio. Ties go to
   // the smallest axis index (strict > below), so the choice — and with it
   // the canonical order and every downstream artifact — is deterministic.
-  double best_ratio = -1.0;
-  for (size_t i = 0; i < d; ++i) {
-    double lo = sample_.At(0, i), hi = lo;
-    for (size_t row = 1; row < sample_size_; ++row) {
-      const double v = sample_.At(row, i);
-      lo = std::min(lo, v);
-      hi = std::max(hi, v);
-    }
-    const double ratio = (hi - lo) / kernels_[i].bandwidth();
-    if (ratio > best_ratio) {
-      best_ratio = ratio;
-      primary_axis_ = i;
+  // Always axis 0 in 1-d.
+  if (d > 1) {
+    double best_ratio = -1.0;
+    for (size_t i = 0; i < d; ++i) {
+      double lo = sample_.At(0, i), hi = lo;
+      for (size_t row = 1; row < sample_size_; ++row) {
+        const double v = sample_.At(row, i);
+        lo = std::min(lo, v);
+        hi = std::max(hi, v);
+      }
+      const double ratio = (hi - lo) / kernels_[i].bandwidth();
+      if (ratio > best_ratio) {
+        best_ratio = ratio;
+        primary_axis_ = i;
+      }
     }
   }
-  // Canonical order: primary-axis coordinate ascending, ties broken
-  // lexicographically over all coordinates. Rows still tied after that are
-  // coordinate-identical — interchangeable for every query — so the
-  // unstable in-place heapsort yields a canonical order of observables.
-  const FlatPoints& s = sample_;
   const size_t axis = primary_axis_;
+  // A sample handed over in canonical order — a DensityModel's maintained
+  // buffer, whenever the primary axis did not move — needs no sort.
+  bool canonical = true;
+  for (size_t row = 1; row < sample_size_ && canonical; ++row) {
+    canonical =
+        !CanonicalLess(sample_.Row(row), sample_.Row(row - 1), d, axis);
+  }
+  if (canonical) return;
+  if (d == 1) {
+    // The flat buffer *is* the sorted coordinate array the 1-d fast path
+    // binary-searches. Equal finite doubles are bit-identical except for
+    // ±0.0, so a plain sort that then puts the zero run's -0.0s first
+    // yields the canonical order, cheaper than sorting under CanonicalLess.
+    std::vector<double>& coords = *sample_.mutable_data();
+    std::sort(coords.begin(), coords.end());
+    const auto zeros = std::equal_range(coords.begin(), coords.end(), 0.0);
+    std::partition(zeros.first, zeros.second,
+                   [](double z) { return std::signbit(z); });
+    return;
+  }
+  // CanonicalLess is a total order on the rows' bit patterns, so the
+  // unstable in-place heapsort still yields the one canonical buffer.
+  const FlatPoints& s = sample_;
   sample_.SortRows([&s, axis, d](size_t a, size_t b) {
-    const double* ra = s.Row(a);
-    const double* rb = s.Row(b);
-    if (ra[axis] != rb[axis]) return ra[axis] < rb[axis];
-    for (size_t i = 0; i < d; ++i) {
-      if (ra[i] != rb[i]) return ra[i] < rb[i];
-    }
-    return false;
+    return CanonicalLess(s.Row(a), s.Row(b), d, axis);
   });
 }
 

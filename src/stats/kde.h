@@ -12,25 +12,29 @@
 //
 // This class generalizes that refinement to d > 1 (DESIGN.md §13). The
 // sample lives in a flat row-major buffer (util/flat_points.h) held in a
-// *canonical order*: sorted by a primary axis a — the axis with the largest
-// spread/bandwidth ratio, i.e. the axis where sorting prunes best — with
-// ties broken lexicographically over all coordinates. BoxProbability,
-// BoxProbabilityBatch and Pdf binary-search the candidate row range
-// [lo_a − B_a, hi_a + B_a] on that axis and evaluate only terms whose
-// kernel support can intersect the query; every skipped term contributes
-// exactly 0.0, so results are bit-identical to a full sweep over the same
-// canonical order.
+// *canonical order* (CanonicalLess): sorted by a primary axis a — the axis
+// with the largest spread/bandwidth ratio, i.e. the axis where sorting
+// prunes best — with ties broken lexicographically over all coordinates and
+// then by the sign of zero. BoxProbability, BoxProbabilityBatch and Pdf
+// binary-search the candidate row range [lo_a − B_a, hi_a + B_a] on that
+// axis and evaluate only terms whose kernel support can intersect the
+// query; every skipped term contributes exactly 0.0, so results are
+// bit-identical to a full sweep over the same canonical order.
 //
 // The estimator is an immutable snapshot: the online system (core::
-// DensityModel) rebuilds it cheaply from the current chain sample whenever
-// it needs to answer queries, which keeps this class trivially thread-safe
-// and exactly reproducible. The flat-buffer Create() overload plus
-// ReleaseSampleStorage() let the rebuild path recycle one warm buffer and
-// perform zero per-point heap allocations.
+// DensityModel) rebuilds it from the current chain sample whenever it needs
+// to answer queries, which keeps this class trivially thread-safe and
+// exactly reproducible. A rebuild is cheap because DensityModel keeps its
+// own copy of the sample in canonical order as the sample changes: Create()
+// checks the order in O(|R|·d) and sorts only a sample that is not already
+// canonical. The flat-buffer Create() overload plus ReleaseSampleStorage()
+// let the rebuild path recycle the retiring estimator's buffer and perform
+// zero per-point heap allocations.
 
 #ifndef SENSORD_STATS_KDE_H_
 #define SENSORD_STATS_KDE_H_
 
+#include <cmath>
 #include <cstddef>
 #include <initializer_list>
 #include <utility>
@@ -51,7 +55,8 @@ class SnapshotWriter;
 class KernelDensityEstimator : public DistributionEstimator {
  public:
   /// Builds an estimator from a flat sample and per-dimension bandwidths;
-  /// the sample is re-sorted into canonical order in place. Returns
+  /// the sample is sorted into canonical order in place, unless an
+  /// O(|R|·d) check finds it canonical already. Returns
   /// InvalidArgument if the sample is empty, the dimensionalities are
   /// inconsistent, or any bandwidth is <= 0.
   static StatusOr<KernelDensityEstimator> Create(
@@ -106,9 +111,30 @@ class KernelDensityEstimator : public DistributionEstimator {
   std::vector<double> bandwidths() const;
 
   /// The sample in canonical order: flat row-major storage, rows sorted
-  /// ascending by primary_axis() with lexicographic tie-breaks (in 1-d this
-  /// degenerates to the plain sorted order).
+  /// ascending under CanonicalLess(·, ·, dimensions(), primary_axis()) (in
+  /// 1-d the plain sorted order, with -0.0 before +0.0).
   const FlatPoints& sample() const { return sample_; }
+
+  /// The canonical row order over d-coordinate rows `a` and `b`: ascending
+  /// by coordinate `axis`, ties broken lexicographically over all
+  /// coordinates, and rows still equal ordered -0.0 before +0.0, coordinate
+  /// by coordinate. For finite rows this is a strict total order on bit
+  /// patterns — rows neither of which is less are bit-identical — so a
+  /// sample has exactly one canonical buffer, however it was reached.
+  /// Pre: every coordinate is finite (NaN has no place in the order).
+  static bool CanonicalLess(const double* a, const double* b, size_t d,
+                            size_t axis) {
+    if (a[axis] != b[axis]) return a[axis] < b[axis];
+    for (size_t i = 0; i < d; ++i) {
+      if (a[i] != b[i]) return a[i] < b[i];
+    }
+    for (size_t i = 0; i < d; ++i) {
+      if (std::signbit(a[i]) != std::signbit(b[i])) {
+        return std::signbit(a[i]);
+      }
+    }
+    return false;
+  }
 
   /// The axis the canonical order sorts by and queries prune on: the axis
   /// maximizing (sample spread) / bandwidth, ties to the smallest index.
@@ -123,8 +149,8 @@ class KernelDensityEstimator : public DistributionEstimator {
                                           double axis_hi) const;
 
   /// Steals the flat sample storage so a rebuild path can recycle the heap
-  /// buffer (core::DensityModel's scratch ping-pong). The estimator is left
-  /// empty and must not be queried afterwards.
+  /// buffer (core::DensityModel refills it for the next estimator). The
+  /// estimator is left empty and must not be queried afterwards.
   FlatPoints ReleaseSampleStorage() && { return std::move(sample_); }
 
   /// Footprint under the paper's accounting: d numbers per sample point plus
@@ -148,7 +174,8 @@ class KernelDensityEstimator : public DistributionEstimator {
  private:
   KernelDensityEstimator(FlatPoints sample, std::vector<double> bandwidths);
 
-  // Picks primary_axis_ and sorts sample_ into canonical order.
+  // Picks primary_axis_ and sorts sample_ into canonical order, unless it is
+  // in that order already.
   void Canonicalize();
 
   // First canonical row with primary-axis coordinate >= v (resp. > v).

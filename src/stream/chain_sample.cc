@@ -169,7 +169,7 @@ void ChainSample::RegisterExpiry(uint32_t chain_idx) {
 }
 
 void ChainSample::RestartChain(uint32_t chain_idx, uint64_t index,
-                               const Point& value) {
+                               const Point& value, SampleChanges* changes) {
   Metrics().restarts->Increment();
   ++version_;
   Chain& chain = chains_[chain_idx];
@@ -181,6 +181,10 @@ void ChainSample::RestartChain(uint32_t chain_idx, uint64_t index,
     ChainPushBack(&chain, index, value);
   } else {
     SENSORD_DCHECK_EQ(value.size(), dims_);
+    if (changes != nullptr) {
+      const double* head = FrontCoords(chain);
+      std::copy(head, head + dims_, changes->departed.AppendRow());
+    }
     for (uint32_t r = row_next_[chain.head]; r != kNilRow;) {
       const uint32_t next = row_next_[r];
       FreeRow(r);
@@ -193,6 +197,9 @@ void ChainSample::RestartChain(uint32_t chain_idx, uint64_t index,
     row_next_[head] = kNilRow;
     chain.tail = head;
     chain.size = 1;
+  }
+  if (changes != nullptr) {
+    std::copy(value.begin(), value.end(), changes->arrived.AppendRow());
   }
   RegisterExpiry(chain_idx);
   DrawReplacement(chain_idx, index);
@@ -208,17 +215,23 @@ uint64_t ChainSample::GeometricSkip(double p) {
   return static_cast<uint64_t>(std::log(u) / std::log1p(-p));
 }
 
-bool ChainSample::Add(const Point& value) {
+bool ChainSample::Add(const Point& value, SampleChanges* changes) {
   const obs::ScopedTimer timer(Metrics().add_ns);
   Metrics().adds->Increment();
   const uint64_t i = now_;  // 0-based arrival index of this element
   ++now_;
 
+  // The first element ever observed seeds every chain; it also fixes the
+  // stream's dimensionality, which sizes the row pool's coordinate stride.
+  if (!seeded_) dims_ = value.size();
+  if (changes != nullptr) {
+    changes->departed.Reset(dims_);
+    changes->arrived.Reset(dims_);
+  }
   if (!seeded_) {
-    // The first element ever observed seeds every chain; it also fixes the
-    // stream's dimensionality, which sizes the row pool's coordinate stride.
-    dims_ = value.size();
-    for (uint32_t c = 0; c < chains_.size(); ++c) RestartChain(c, i, value);
+    for (uint32_t c = 0; c < chains_.size(); ++c) {
+      RestartChain(c, i, value, changes);
+    }
     seeded_ = true;
     return true;
   }
@@ -244,9 +257,17 @@ bool ChainSample::Add(const Point& value) {
     if (chain.Empty() || FrontIndex(chain) + window_size_ != i) {
       continue;  // stale (restarted since registration)
     }
+    if (changes != nullptr) {
+      const double* front = FrontCoords(chain);
+      std::copy(front, front + dims_, changes->departed.AppendRow());
+    }
     ChainPopFront(&chain);
     SENSORD_CHECK(!chain.Empty() &&
                   "chain invariant: replacement arrives before expiry");
+    if (changes != nullptr) {
+      const double* front = FrontCoords(chain);
+      std::copy(front, front + dims_, changes->arrived.AppendRow());
+    }
     Metrics().expirations->Increment();
     ++version_;  // the chain's active element changed
     RegisterExpiry(c);
@@ -260,7 +281,7 @@ bool ChainSample::Add(const Point& value) {
   bool entered_sample = false;
   uint64_t c = GeometricSkip(p_select);
   while (c < chains_.size()) {
-    RestartChain(static_cast<uint32_t>(c), i, value);
+    RestartChain(static_cast<uint32_t>(c), i, value, changes);
     entered_sample = true;
     c += 1 + GeometricSkip(p_select);
   }

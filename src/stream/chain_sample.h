@@ -21,7 +21,10 @@
 // The Add() return value reports whether the new observation entered the
 // sample: this is exactly the "if (S(i) included in R^w)" event of the D3 and
 // MGDD pseudo-code (Figure 4), which gates probabilistic propagation of the
-// observation to the parent node.
+// observation to the parent node. Add() can also report every change it
+// made to the active sample (SampleChanges), which lets a consumer keep a
+// derived copy of the sample — core::DensityModel's canonically ordered
+// buffer — up to date without re-reading all |R| chains.
 
 #ifndef SENSORD_STREAM_CHAIN_SAMPLE_H_
 #define SENSORD_STREAM_CHAIN_SAMPLE_H_
@@ -39,6 +42,18 @@ namespace sensord {
 class SnapshotReader;
 class SnapshotWriter;
 
+/// The active-sample changes one ChainSample::Add() made, in the order it
+/// made them. Row k of `arrived` became a chain's active element; row k of
+/// `departed` is the active element it displaced. A restart of a non-empty
+/// chain reports head -> value and an expiry reports old front -> new
+/// front, so after seeding the two hold the same number of rows. The
+/// seeding Add() displaces nothing: `departed` stays empty and `arrived`
+/// holds one row per chain.
+struct SampleChanges {
+  FlatPoints departed;
+  FlatPoints arrived;
+};
+
 /// Uniform random sample (with replacement across chains) of the last
 /// `window_size` stream elements, maintained in one pass.
 class ChainSample {
@@ -50,7 +65,10 @@ class ChainSample {
 
   /// Feeds the next stream element. Returns true iff the element became the
   /// active element of at least one chain (i.e. it "entered the sample").
-  bool Add(const Point& value);
+  /// If `changes` is non-null it is refilled with the active-sample changes
+  /// this call made; its warm buffers keep their capacity, so reporting
+  /// allocates nothing in the steady state.
+  bool Add(const Point& value, SampleChanges* changes = nullptr);
 
   /// Number of chains (the |R| of the paper).
   size_t sample_size() const { return chains_.size(); }
@@ -200,8 +218,10 @@ class ChainSample {
 
   // Restarts chain `c` at the element (index, value): the new element
   // becomes the active sample member, queued replacements are discarded,
-  // and the chain's expiry and replacement are re-registered.
-  void RestartChain(uint32_t chain_idx, uint64_t index, const Point& value);
+  // and the chain's expiry and replacement are re-registered. The change is
+  // reported into `changes` when it is non-null.
+  void RestartChain(uint32_t chain_idx, uint64_t index, const Point& value,
+                    SampleChanges* changes);
 
   // Draws and registers the pending replacement index of chain `chain_idx`
   // following the element at `index`.

@@ -1,5 +1,6 @@
 #include "stream/chain_sample.h"
 
+#include <algorithm>
 #include <map>
 #include <vector>
 
@@ -242,6 +243,52 @@ TEST(ChainSampleTest, SnapshotToMatchesSnapshot) {
   cs.SnapshotTo(&flat);
   EXPECT_EQ(flat.data().data(), before);
   EXPECT_EQ(flat, FlatPoints::FromPoints(cs.Snapshot()));
+}
+
+// Replaying each Add()'s change report on a copy of the active sample must
+// reproduce the sample, step for step, without disturbing the sampler: a
+// twin fed the same stream without reports stays identical. Distinct
+// values make every row one stream element, so the test can also see rows
+// that arrive and depart within a single Add (an expiry promotes a row, a
+// restart of that chain replaces it).
+TEST(ChainSampleTest, ChangeReportsReplayToTheActiveSample) {
+  ChainSample cs(40, 48, Rng(31));
+  ChainSample twin(40, 48, Rng(31));
+  Rng values(32);
+  SampleChanges changes;
+  std::vector<double> replayed;  // the active sample, kept sorted
+  size_t arrived_then_departed = 0;
+  for (int i = 0; i < 4000; ++i) {
+    const double v = values.UniformDouble();
+    EXPECT_EQ(cs.Add({v}, &changes), twin.Add({v}));
+    if (i == 0) {
+      EXPECT_TRUE(changes.departed.empty());
+      ASSERT_EQ(changes.arrived.size(), 40u);
+    } else {
+      ASSERT_EQ(changes.departed.size(), changes.arrived.size());
+    }
+    EXPECT_EQ(changes.arrived.dimensions(), 1u);
+    for (size_t k = 0; k < changes.arrived.size(); ++k) {
+      if (k < changes.departed.size()) {
+        const double out = changes.departed.At(k, 0);
+        const auto it = std::find(replayed.begin(), replayed.end(), out);
+        ASSERT_NE(it, replayed.end()) << "departed row not active, step " << i;
+        replayed.erase(it);
+        for (size_t j = 0; j < k; ++j) {
+          arrived_then_departed += changes.arrived.At(j, 0) == out;
+        }
+      }
+      const double in = changes.arrived.At(k, 0);
+      replayed.insert(std::upper_bound(replayed.begin(), replayed.end(), in),
+                      in);
+    }
+    std::vector<double> active;
+    for (const Point& p : cs.Snapshot()) active.push_back(p[0]);
+    std::sort(active.begin(), active.end());
+    ASSERT_EQ(replayed, active) << "step " << i;
+    ASSERT_EQ(cs.Snapshot(), twin.Snapshot());
+  }
+  EXPECT_GT(arrived_then_departed, 0u);
 }
 
 TEST(ChainSampleTest, DeterministicGivenSeed) {

@@ -2,12 +2,14 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <limits>
 #include <new>
 
 #include <gtest/gtest.h>
 
 #include "data/synthetic.h"
 #include "stats/divergence.h"
+#include "util/check.h"
 
 // Counts every heap allocation in the process so the rebuild-path tests can
 // assert allocation-freedom (same idiom as bench/micro_benchmarks.cc).
@@ -258,8 +260,9 @@ uint64_t AllocsForOneRebuild(size_t sample_size, bool robust) {
                Clamp(values.Gaussian(0.5, 0.1), 0.0, 1.0)});
   };
   for (size_t i = 0; i < cfg.window_size; ++i) feed();
-  // Two warm-up rebuilds: the first allocates the scratch + estimator
-  // buffers, the second establishes the steady-state ping-pong.
+  // Two warm-up rebuilds: the first allocates the maintained canonical
+  // buffer and the first estimator's storage, the second hands that storage
+  // on, as every later rebuild does.
   m.Estimator();
   feed();
   m.Estimator();
@@ -278,6 +281,21 @@ TEST(DensityModelTest, RebuildPerformsZeroPerPointAllocations) {
     EXPECT_LE(small, 8u) << "robust=" << robust;
   }
 }
+
+#if SENSORD_DCHECK_IS_ON()
+
+// Observe() requires finite coordinates (raw readings are screened by the
+// ingest firewall first): the canonical sample order has no place for NaN.
+TEST(DensityModelDeathTest, ObserveRejectsNonFiniteCoordinates) {
+  DensityModel m(SmallConfig(), Rng(27));
+  m.Observe({0.5});
+  EXPECT_DEATH(m.Observe({std::numeric_limits<double>::quiet_NaN()}),
+               "isfinite");
+  EXPECT_DEATH(m.Observe({-std::numeric_limits<double>::infinity()}),
+               "isfinite");
+}
+
+#endif  // SENSORD_DCHECK_IS_ON()
 
 TEST(DensityModelTest, PrewarmStartsAtSteadyState) {
   DensityModelConfig cfg = SmallConfig();

@@ -5,14 +5,18 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstring>
 #include <memory>
 #include <string>
 
 #include <gtest/gtest.h>
 
 #include "baseline/brute_force_d.h"
+#include "core/density_model.h"
 #include "core/mdef.h"
+#include "core/snapshot.h"
 #include "data/synthetic.h"
+#include "obs/metrics.h"
 #include "stats/divergence.h"
 #include "stats/empirical.h"
 #include "stats/histogram.h"
@@ -594,6 +598,217 @@ TEST_P(MdefKernelBitIdentityTest, FactoredScanMatchesDivModWalkBitwise) {
 
 INSTANTIATE_TEST_SUITE_P(Dims, MdefKernelBitIdentityTest,
                          ::testing::Values(2, 3));
+
+// ---------------------------------------------------------------------
+// The maintained canonical sample (DESIGN.md §13): from its first query on,
+// a DensityModel patches a canonically ordered copy of its chain sample on
+// every change, and a rebuild hands that copy to Create(), which then does
+// not sort. After every Observe the copy must be *bit-identical* to sorting
+// a fresh snapshot, and every estimator the model builds must equal, bit for
+// bit, one built afresh out of SnapshotTo + Create — across heavy
+// duplicates and ±0.0, rows that arrive and depart within one Add (an
+// expiry promoting a row that a restart then replaces), the seeding Add,
+// Serialize/Restore mid-stream, age-only rebuilds and, for d > 1, flips of
+// the primary axis.
+// ---------------------------------------------------------------------
+
+bool BitEqual(const FlatPoints& a, const FlatPoints& b) {
+  if (a.dimensions() != b.dimensions() || a.data().size() != b.data().size()) {
+    return false;
+  }
+  return a.data().empty() ||
+         std::memcmp(a.data().data(), b.data().data(),
+                     a.data().size() * sizeof(double)) == 0;
+}
+
+// The snapshot sorted under CanonicalLess on `axis`, by std::sort over
+// owning points — independent of Create() and of the maintained buffer.
+FlatPoints ReferenceCanonicalOrder(const ChainSample& sample, size_t axis) {
+  FlatPoints snapshot;
+  sample.SnapshotTo(&snapshot);
+  const size_t d = snapshot.dimensions();
+  std::vector<Point> rows = snapshot.ToPoints();
+  std::sort(rows.begin(), rows.end(), [d, axis](const Point& a,
+                                                const Point& b) {
+    return KernelDensityEstimator::CanonicalLess(a.data(), b.data(), d, axis);
+  });
+  return FlatPoints::FromPoints(rows);
+}
+
+// Phase 0 and 2 vary only axis 0, phase 1 only axis d − 1; the other axes
+// hold ±0.0, which compare equal, so whole rows tie up to the sign of
+// zero. Phases 0 and 1 draw from a 1/8 grid with extra ±0.0 (heavy
+// duplicates); phase 2 draws distinct values, so a row seen both arriving
+// and departing within one Add is one element, not a look-alike.
+Point CanonicalStressReading(size_t d, size_t phase, Rng* rng) {
+  Point p(d);
+  const size_t live = phase == 1 ? d - 1 : 0;
+  for (size_t i = 0; i < d; ++i) {
+    const double zero = rng->Bernoulli(0.5) ? -0.0 : 0.0;
+    if (i != live) {
+      p[i] = zero;
+    } else if (phase == 2) {
+      p[i] = rng->UniformDouble();
+    } else {
+      p[i] = rng->Bernoulli(0.2)
+                 ? zero
+                 : static_cast<double>(rng->UniformUint64(9)) / 8.0;
+    }
+  }
+  return p;
+}
+
+class CanonicalSampleBitIdentityTest
+    : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(CanonicalSampleBitIdentityTest, MaintainedOrderMatchesFreshSort) {
+  const size_t d = GetParam();
+  obs::Counter* rebuild_counter = obs::MetricsRegistry::Global().GetCounter(
+      "core.density_model.estimator_rebuilds");
+  const auto bits = [](double v) { return std::bit_cast<uint64_t>(v); };
+  uint64_t age_only_rebuilds = 0;
+  uint64_t arrived_then_departed = 0;
+  uint64_t signed_zero_ties = 0;
+  uint64_t patched_checks = 0;
+  for (uint64_t seed = 1; seed <= 50; ++seed) {
+    Rng rng(seed * 7919 + d);
+    DensityModelConfig cfg;
+    cfg.dimensions = d;
+    cfg.window_size = 32 + rng.UniformUint64(65);
+    cfg.sample_size = 16 + rng.UniformUint64(33);
+    cfg.epsilon = 0.2;
+    cfg.max_estimator_age = 1 + rng.UniformUint64(3);
+    const uint64_t model_seed = rng.UniformUint64(1u << 30);
+    DensityModel model(cfg, Rng(model_seed));
+    // A second sampler on the same rng evolves exactly like the model's,
+    // and shows each Add()'s change report.
+    ChainSample mirror(cfg.sample_size, cfg.window_size, Rng(model_seed));
+    SampleChanges changes;
+
+    const size_t phase_length = 2 * cfg.window_size;
+    const size_t steps = 3 * phase_length;
+    const size_t restore_at = phase_length + rng.UniformUint64(phase_length);
+    size_t axis = 0;
+    size_t axis_flips = 0;
+    bool built = false;
+    uint64_t built_version = 0;
+    for (size_t step = 0; step < steps; ++step) {
+      const size_t phase = step / phase_length;
+      const Point p = CanonicalStressReading(d, phase, &rng);
+      model.Observe(p);
+      mirror.Add(p, &changes);
+      ASSERT_EQ(mirror.version(), model.sample().version());
+      if (step == 0) {
+        // The seeding Add displaces nothing and activates every chain.
+        ASSERT_EQ(changes.departed.size(), 0u);
+        ASSERT_EQ(changes.arrived.size(), cfg.sample_size);
+      } else {
+        ASSERT_EQ(changes.departed.size(), changes.arrived.size());
+      }
+      if (phase == 2) {
+        for (size_t k = 0; k < changes.departed.size(); ++k) {
+          for (size_t j = 0; j < k; ++j) {
+            if (changes.departed.At(k, 0) == changes.arrived.At(j, 0) &&
+                changes.arrived.At(j, 0) != p[0]) {
+              ++arrived_then_departed;
+            }
+          }
+        }
+      }
+
+      if (step == restore_at) {
+        SnapshotWriter writer;
+        model.Serialize(&writer);
+        const std::vector<uint8_t> bytes = std::move(writer).Finish(1);
+        auto reader = SnapshotReader::Open(bytes, 1);
+        ASSERT_TRUE(reader.ok());
+        ASSERT_TRUE(model.Restore(&reader.value()));
+        ASSERT_TRUE(model.canonical_sample().empty())
+            << "Restore must drop the maintained buffer";
+        built = false;
+      }
+
+      if (!model.canonical_sample().empty()) {
+        const FlatPoints& maintained = model.canonical_sample();
+        // Until the next rebuild the buffer keeps the last estimator's
+        // axis; compare with Create()'s order whenever that is the same.
+        FlatPoints snapshot;
+        model.sample().SnapshotTo(&snapshot);
+        auto fresh = KernelDensityEstimator::CreateWithScottBandwidths(
+            std::move(snapshot), model.BandwidthSpreads());
+        ASSERT_TRUE(fresh.ok());
+        const FlatPoints expected =
+            fresh->primary_axis() == axis
+                ? fresh->sample()
+                : ReferenceCanonicalOrder(model.sample(), axis);
+        ASSERT_TRUE(BitEqual(maintained, expected))
+            << "maintained order diverged at seed " << seed << " d " << d
+            << " step " << step;
+        ++patched_checks;
+        for (size_t row = 1; row < maintained.size(); ++row) {
+          const double* a = maintained.Row(row - 1);
+          const double* b = maintained.Row(row);
+          if (std::equal(a, a + d, b) && std::memcmp(a, b, d * 8) != 0) {
+            ++signed_zero_ties;
+          }
+        }
+      }
+
+      if (step != 0 && !rng.Bernoulli(0.5)) continue;
+      const uint64_t version = model.sample().version();
+      const uint64_t rebuilds_before = rebuild_counter->value();
+      const KernelDensityEstimator& est = model.Estimator();
+      const bool rebuilt = rebuild_counter->value() != rebuilds_before;
+      if (rebuilt && built && version == built_version) ++age_only_rebuilds;
+      if (rebuilt) {
+        built = true;
+        built_version = version;
+      }
+      if (step != 0 && est.primary_axis() != axis) ++axis_flips;
+      axis = est.primary_axis();
+      ASSERT_TRUE(BitEqual(model.canonical_sample(), est.sample()));
+      // A cache hit keeps the bandwidths of its build; only a rebuild must
+      // match an estimator made from the current state.
+      if (!rebuilt) continue;
+
+      FlatPoints snapshot;
+      model.sample().SnapshotTo(&snapshot);
+      auto from_snapshot = KernelDensityEstimator::CreateWithScottBandwidths(
+          std::move(snapshot), model.BandwidthSpreads());
+      ASSERT_TRUE(from_snapshot.ok());
+      ASSERT_EQ(est.primary_axis(), from_snapshot->primary_axis());
+      ASSERT_EQ(est.bandwidths(), from_snapshot->bandwidths());
+      ASSERT_TRUE(BitEqual(est.sample(), from_snapshot->sample()))
+          << "rebuilt estimator diverged at seed " << seed << " d " << d
+          << " step " << step;
+      for (int q = 0; q < 4; ++q) {
+        Point lo(d), hi(d), at(d);
+        for (size_t i = 0; i < d; ++i) {
+          const double c = rng.UniformDouble(-0.1, 1.1);
+          const double r = rng.UniformDouble(0.01, 0.3);
+          lo[i] = c - r;
+          hi[i] = c + r;
+          at[i] = rng.Bernoulli(0.3) ? 0.0 : rng.UniformDouble();
+        }
+        ASSERT_EQ(bits(est.BoxProbability(lo, hi)),
+                  bits(from_snapshot->BoxProbability(lo, hi)))
+            << "box mass diverged at seed " << seed << " d " << d;
+        ASSERT_EQ(bits(est.Pdf(at)), bits(from_snapshot->Pdf(at)))
+            << "pdf diverged at seed " << seed << " d " << d;
+      }
+    }
+    if (d > 1) {
+      EXPECT_GE(axis_flips, 1u) << "primary axis never moved, seed " << seed;
+    }
+  }
+  EXPECT_GT(age_only_rebuilds, 0u);
+  EXPECT_GT(arrived_then_departed, 0u);
+  EXPECT_GT(signed_zero_ties, 0u);
+  EXPECT_GT(patched_checks, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Dims, CanonicalSampleBitIdentityTest,
+                         ::testing::Values(1, 2, 3));
 
 }  // namespace
 }  // namespace sensord

@@ -1,11 +1,14 @@
 #include "core/query_processing.h"
 
+#include <cmath>
+#include <limits>
 #include <optional>
 
 #include <gtest/gtest.h>
 
 #include "core/protocol.h"
 #include "net/hierarchy.h"
+#include "obs/metrics.h"
 #include "util/rng.h"
 
 namespace sensord {
@@ -121,6 +124,42 @@ TEST(QueryNetworkTest, CountAggregatesAcrossLeaves) {
   EXPECT_EQ(a.leaves_reporting, 8u);
   // 8 leaves x window 1000, essentially all mass inside the box.
   EXPECT_NEAR(a.value, 8000.0, 400.0);
+}
+
+// Raw readings pass the ingest firewall before the leaf's model sees them:
+// a NaN or an infinity is counted in ingest.rejected.nonfinite and dropped,
+// so it never reaches the model's sorted sample, and queries stay finite.
+TEST(QueryNetworkTest, NonFiniteReadingsAreRejectedBeforeTheModel) {
+  QueryFixture fx(4);
+  obs::Counter* rejected = obs::MetricsRegistry::Global().GetCounter(
+      "ingest.rejected.nonfinite");
+  const uint64_t rejected_before = rejected->value();
+  Rng values(9);
+  size_t round = 0;
+  fx.Feed(1200, [&](size_t s) {
+    if (s == 0 && round % 100 == 0) {
+      return Point{round % 200 == 0
+                       ? std::numeric_limits<double>::quiet_NaN()
+                       : std::numeric_limits<double>::infinity()};
+    }
+    if (s + 1 == 4) ++round;
+    return Point{Clamp(values.Gaussian(0.4, 0.02), 0.0, 1.0)};
+  });
+
+  const auto& leaf =
+      static_cast<const QuerySensorNode&>(fx.sim.node(fx.ids[0]));
+  EXPECT_EQ(leaf.model().total_seen(), 1200u - 12u);
+  EXPECT_EQ(rejected->value() - rejected_before, 12u);
+
+  AggregateQuery q;
+  q.id = 1;
+  q.kind = AggregateQuery::Kind::kCount;
+  q.lo = {0.3};
+  q.hi = {0.5};
+  const QueryAnswer a = fx.Ask(q);
+  EXPECT_EQ(a.leaves_reporting, 4u);
+  EXPECT_TRUE(std::isfinite(a.value));
+  EXPECT_NEAR(a.value, 4000.0, 200.0);
 }
 
 TEST(QueryNetworkTest, FractionQuery) {
