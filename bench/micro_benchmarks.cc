@@ -410,6 +410,7 @@ void BM_ObsCounterIncrement(benchmark::State& state) {
       obs::MetricsRegistry::Global().GetCounter("bench.obs.counter");
   for (auto _ : state) {
     counter->Increment();
+    benchmark::ClobberMemory();  // one store per event, not one per loop
   }
   state.SetItemsProcessed(state.iterations());
 }
@@ -429,7 +430,8 @@ BENCHMARK(BM_ObsHistogramRecord);
 
 // The acceptance gate for instrumenting hot paths: with timing and tracing
 // at their defaults (off), a full instrumentation point — counter, scoped
-// timer, trace span — adds zero allocations per event.
+// timer, trace span — adds zero allocations per event (scripts/bench.sh
+// fails when allocs_per_op is not 0).
 void BM_ObsDisabledTraceSpan(benchmark::State& state) {
   obs::Histogram* hist = obs::MetricsRegistry::Global().GetHistogram(
       "bench.obs.disabled_ns", obs::LatencyBoundariesNs());
@@ -453,8 +455,8 @@ void BM_ObsDisabledTraceSpan(benchmark::State& state) {
 BENCHMARK(BM_ObsDisabledTraceSpan);
 
 // The flight recorder's cost contract (obs/flight_recorder.h): disabled —
-// the shipped default — Record() is one relaxed atomic load and nothing
-// else. allocs_per_op must read 0.
+// the shipped default — Record() is one flag load and nothing else.
+// allocs_per_op must read 0 (scripts/bench.sh fails otherwise).
 void BM_ObsDisabledFlightRecorder(benchmark::State& state) {
   const uint64_t allocs_before =
       g_alloc_count.load(std::memory_order_relaxed);

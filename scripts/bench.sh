@@ -89,6 +89,15 @@ if small is None or large is None or small != large:
     sys.exit(f"bench.sh: allocs_per_rebuild differs across |R| "
              f"(/512: {small}, /2048: {large}); rebuilds allocate per point")
 print(f"bench.sh: allocs_per_rebuild {small:g} at |R| = 512 and 2048")
+# The "off costs nothing" contract (obs/trace.h, obs/flight_recorder.h):
+# disabled instrumentation allocates nothing per event.
+per_op = {b["name"]: b.get("allocs_per_op")
+          for b in docs[sys.argv[1]]["benchmarks"]}
+for name in ("BM_ObsDisabledTraceSpan", "BM_ObsDisabledFlightRecorder"):
+    if per_op.get(name) != 0:
+        sys.exit(f"bench.sh: {name} allocs_per_op is {per_op.get(name)}, "
+                 f"not 0; disabled instrumentation allocates")
+    print(f"bench.sh: {name} allocs_per_op 0")
 EOF
 
 echo "bench.sh: done"

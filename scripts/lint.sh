@@ -7,8 +7,8 @@
 #   sweep. Exits nonzero on any violation (WarningsAsErrors: '*' in
 #   .clang-tidy).
 #
-# Project-specific invariants (determinism, thread-safety annotations,
-# header hygiene, test pairing) are NOT here — they live in
+# Project-specific invariants (determinism, header hygiene, test pairing)
+# are NOT here — they live in
 # tools/lint/sensord_lint.py, which runs even without a clang toolchain.
 #
 # clang-tidy needs a compilation database; we configure the `release`

@@ -137,8 +137,7 @@ class DensityModel {
   // primary-axis change (d > 1) Create() re-sorts and the buffer adopts the
   // new order. coord_scratch_ is the robust-bandwidth IQR's warm buffer.
   // mutable because rebuilds happen inside const queries; a DensityModel is
-  // single-owner state (the simulator's event loop is serial, so no model
-  // is shared across threads).
+  // single-owner state (DESIGN.md §12).
   mutable FlatPoints canonical_;
   SampleChanges sample_changes_;
   mutable std::vector<double> coord_scratch_;

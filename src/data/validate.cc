@@ -28,13 +28,11 @@ IngestValidator::IngestValidator(const IngestPolicy& policy)
     : policy_(policy) {}
 
 IngestVerdict IngestValidator::Check(const Point& reading) {
-  if (policy_.reject_nonfinite) {
-    for (double c : reading) {
-      if (!std::isfinite(c)) {
-        ++rejected_;
-        Metrics().rejected_nonfinite->Increment();
-        return IngestVerdict::kNonFinite;
-      }
+  for (double c : reading) {
+    if (!std::isfinite(c)) {
+      ++rejected_;
+      Metrics().rejected_nonfinite->Increment();
+      return IngestVerdict::kNonFinite;
     }
   }
   for (double c : reading) {

@@ -26,11 +26,12 @@
 
 namespace sensord {
 
-/// What the firewall enforces. The defaults accept every finite reading, so
-/// a validator with a default policy is behavior-neutral on clean data.
+/// What the firewall enforces beyond its fixed rule: readings containing NaN
+/// or +/-Inf coordinates are always rejected, because the density model's
+/// canonical sample order requires finite coordinates. The defaults accept
+/// every finite reading, so a validator with a default policy is
+/// behavior-neutral on clean data.
 struct IngestPolicy {
-  /// Reject readings containing NaN or +/-Inf coordinates.
-  bool reject_nonfinite = true;
   /// Closed range every coordinate must lie in. The defaults are infinite
   /// (no range check); deployments with normalized streams set [0, 1].
   double min_value = -std::numeric_limits<double>::infinity();

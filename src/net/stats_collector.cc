@@ -71,33 +71,25 @@ const NetMetrics& Metrics() {
 }  // namespace
 
 void StatsCollector::RecordSend(const Message& msg) {
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    ++total_messages_;
-    total_numbers_ += msg.size_numbers;
-    if (msg.kind < kSmallKinds) {
-      ++by_small_kind_[msg.kind];
-    } else {
-      ++by_large_kind_[msg.kind];
-    }
+  ++total_messages_;
+  total_numbers_ += msg.size_numbers;
+  if (msg.kind < kSmallKinds) {
+    ++by_small_kind_[msg.kind];
+  } else {
+    ++by_large_kind_[msg.kind];
   }
   // Mirror into the process-wide registry (cumulative across Reset()).
-  // The registry counters are lock-free; no need to hold mu_ here.
   Metrics().messages_total->Increment();
   Metrics().numbers_total->Increment(msg.size_numbers);
   KindCounter(msg.kind)->Increment();
 }
 
 void StatsCollector::RecordDrop() {
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    ++dropped_;
-  }
+  ++dropped_;
   Metrics().messages_dropped->Increment();
 }
 
 uint64_t StatsCollector::MessagesOfKind(MessageKind kind) const {
-  const std::lock_guard<std::mutex> lock(mu_);
   if (kind < kSmallKinds) return by_small_kind_[kind];
   const auto it = by_large_kind_.find(kind);
   return it == by_large_kind_.end() ? 0 : it->second;
@@ -106,7 +98,6 @@ uint64_t StatsCollector::MessagesOfKind(MessageKind kind) const {
 void StatsCollector::Reset() {
   // Only the per-instance tallies reset; the registry mirrors are
   // process-cumulative by design (see header).
-  const std::lock_guard<std::mutex> lock(mu_);
   total_messages_ = 0;
   total_numbers_ = 0;
   dropped_ = 0;

@@ -20,17 +20,14 @@
 #include <array>
 #include <cstdint>
 #include <map>
-#include <mutex>
 
 #include "net/message.h"
-#include "util/thread_annotations.h"
 
 namespace sensord {
 
 /// Mutable tally of network traffic. Owned by the Simulator; read by
-/// experiments after (or during) a run. Internally synchronized so a
-/// monitoring thread can snapshot the tallies while the simulation records
-/// — the per-send lock is uncontended in the single-threaded simulator.
+/// experiments after (or during) a run, on the simulator's one thread
+/// (DESIGN.md §12).
 class StatsCollector {
  public:
   /// Records one transmitted message.
@@ -44,25 +41,16 @@ class StatsCollector {
   void RecordDrop();
 
   /// Messages recorded as dropped.
-  uint64_t MessagesDropped() const {
-    const std::lock_guard<std::mutex> lock(mu_);
-    return dropped_;
-  }
+  uint64_t MessagesDropped() const { return dropped_; }
 
   /// Total messages transmitted.
-  uint64_t TotalMessages() const {
-    const std::lock_guard<std::mutex> lock(mu_);
-    return total_messages_;
-  }
+  uint64_t TotalMessages() const { return total_messages_; }
 
   /// Messages of one kind.
   uint64_t MessagesOfKind(MessageKind kind) const;
 
   /// Total payload volume in numbers.
-  uint64_t TotalNumbers() const {
-    const std::lock_guard<std::mutex> lock(mu_);
-    return total_numbers_;
-  }
+  uint64_t TotalNumbers() const { return total_numbers_; }
 
   /// Total payload volume in bytes at `bytes_per_number` per value.
   uint64_t TotalBytes(uint64_t bytes_per_number) const {
@@ -86,12 +74,11 @@ class StatsCollector {
   // into a flat array; rare application-defined kinds fall back to the map.
   static constexpr MessageKind kSmallKinds = 128;
 
-  mutable std::mutex mu_;
-  uint64_t total_messages_ GUARDED_BY(mu_) = 0;
-  uint64_t total_numbers_ GUARDED_BY(mu_) = 0;
-  uint64_t dropped_ GUARDED_BY(mu_) = 0;
-  std::array<uint64_t, kSmallKinds> by_small_kind_ GUARDED_BY(mu_) = {};
-  std::map<MessageKind, uint64_t> by_large_kind_ GUARDED_BY(mu_);
+  uint64_t total_messages_ = 0;
+  uint64_t total_numbers_ = 0;
+  uint64_t dropped_ = 0;
+  std::array<uint64_t, kSmallKinds> by_small_kind_ = {};
+  std::map<MessageKind, uint64_t> by_large_kind_;
 };
 
 }  // namespace sensord

@@ -2,15 +2,12 @@
 
 #include <cstdio>
 #include <map>
-#include <mutex>
 #include <vector>
-
-#include "util/thread_annotations.h"
 
 namespace sensord::obs {
 
 namespace internal {
-std::atomic<bool> g_flight_enabled{false};
+bool g_flight_enabled = false;
 }  // namespace internal
 
 namespace {
@@ -23,14 +20,10 @@ struct Ring {
   uint64_t total = 0;  // events recorded since the last dump
 };
 
-// Rings, capacity, and the dump sink change together; one mutex guards them
-// all (the trace-sink model: hot-path gate is the atomic, everything else
-// locks).
 struct RecorderState {
-  std::mutex mu;
-  size_t capacity GUARDED_BY(mu) = 64;
-  std::map<int64_t, Ring> rings GUARDED_BY(mu);
-  FILE* sink GUARDED_BY(mu) = nullptr;
+  size_t capacity = 64;
+  std::map<int64_t, Ring> rings;
+  FILE* sink = nullptr;
 };
 
 RecorderState& State() {
@@ -39,9 +32,9 @@ RecorderState& State() {
   return *state;
 }
 
-// Writes one event line. The caller holds the state mutex and has checked
-// the sink. Values are %.9g — same rendering as the span sink, so two
-// same-seed runs print identical bytes.
+// Writes one event line. The caller has checked the sink. Values are %.9g —
+// same rendering as the span sink, so two same-seed runs print identical
+// bytes.
 void WriteEventLine(FILE* sink, int64_t node, const FlightEvent& e) {
   std::fprintf(sink,
                "{\"fr\":\"%s\",\"node\":%lld,\"vt\":%.9g,\"a\":%lld,"
@@ -51,9 +44,9 @@ void WriteEventLine(FILE* sink, int64_t node, const FlightEvent& e) {
                e.value);
 }
 
-// Dumps one ring. The caller holds the state mutex.
-void DumpRingLocked(RecorderState& state, int64_t node, Ring& ring,
-                    const char* reason, double vt) {
+// Dumps one ring and clears it; no-op without a sink or events.
+void DumpRing(RecorderState& state, int64_t node, Ring& ring,
+              const char* reason, double vt) {
   if (state.sink == nullptr || ring.total == 0) return;
   const size_t kept =
       ring.total < ring.slots.size() ? static_cast<size_t>(ring.total)
@@ -95,22 +88,19 @@ const char* FlightEventKindName(FlightEventKind kind) {
 
 void FlightRecorder::Enable(size_t capacity_per_node) {
   RecorderState& state = State();
-  const std::lock_guard<std::mutex> lock(state.mu);
   state.capacity = capacity_per_node < 1 ? 1 : capacity_per_node;
   state.rings.clear();
-  internal::g_flight_enabled.store(true, std::memory_order_release);
+  internal::g_flight_enabled = true;
 }
 
 void FlightRecorder::Disable() {
   RecorderState& state = State();
-  const std::lock_guard<std::mutex> lock(state.mu);
-  internal::g_flight_enabled.store(false, std::memory_order_release);
+  internal::g_flight_enabled = false;
   state.rings.clear();
 }
 
 Status FlightRecorder::OpenDumpSink(const std::string& path) {
   RecorderState& state = State();
-  const std::lock_guard<std::mutex> lock(state.mu);
   if (state.sink != nullptr) {
     std::fclose(state.sink);
     state.sink = nullptr;
@@ -125,7 +115,6 @@ Status FlightRecorder::OpenDumpSink(const std::string& path) {
 
 void FlightRecorder::CloseDumpSink() {
   RecorderState& state = State();
-  const std::lock_guard<std::mutex> lock(state.mu);
   if (state.sink != nullptr) {
     std::fclose(state.sink);
     state.sink = nullptr;
@@ -135,10 +124,6 @@ void FlightRecorder::CloseDumpSink() {
 void FlightRecorder::RecordSlow(int64_t node, FlightEventKind kind, double vt,
                                 int64_t a, int64_t b, double value) {
   RecorderState& state = State();
-  const std::lock_guard<std::mutex> lock(state.mu);
-  // Enable() may have lost a race with the gate check; re-check under the
-  // lock so a ring is never touched after Disable() cleared it.
-  if (!internal::g_flight_enabled.load(std::memory_order_relaxed)) return;
   Ring& ring = state.rings[node];
   if (ring.slots.size() != state.capacity) {
     ring.slots.assign(state.capacity, FlightEvent{});
@@ -152,25 +137,22 @@ void FlightRecorder::RecordSlow(int64_t node, FlightEventKind kind, double vt,
 void FlightRecorder::Dump(int64_t node, const char* reason, double vt) {
   if (!Enabled()) return;
   RecorderState& state = State();
-  const std::lock_guard<std::mutex> lock(state.mu);
   const auto it = state.rings.find(node);
   if (it == state.rings.end()) return;
-  DumpRingLocked(state, node, it->second, reason, vt);
+  DumpRing(state, node, it->second, reason, vt);
 }
 
 void FlightRecorder::DumpAll(const char* reason) {
   if (!Enabled()) return;
   RecorderState& state = State();
-  const std::lock_guard<std::mutex> lock(state.mu);
   // std::map: ascending node id, deterministic dump order.
   for (auto& [node, ring] : state.rings) {
-    DumpRingLocked(state, node, ring, reason, 0.0);
+    DumpRing(state, node, ring, reason, 0.0);
   }
 }
 
 size_t FlightRecorder::BufferedEventsForTest(int64_t node) {
   RecorderState& state = State();
-  const std::lock_guard<std::mutex> lock(state.mu);
   const auto it = state.rings.find(node);
   if (it == state.rings.end()) return 0;
   const Ring& ring = it->second;

@@ -7,10 +7,9 @@
 // so the black box of the failing node survives the failure.
 //
 // Cost contract (the BM_ObsDisabledFlightRecorder micro-benchmark holds
-// this): disabled — the default — Record() is exactly one relaxed atomic
-// load, no locks, no allocation. Enabled, a record is a mutex acquisition
-// and one POD slot write; the ring allocates once per node at its first
-// record and never again.
+// this): disabled — the default — Record() is exactly one flag load, no
+// allocation. Enabled, a record is a ring lookup and one POD slot write; the
+// ring allocates once per node at its first record and never again.
 //
 // Determinism: events are stamped with event-queue virtual time and dumps
 // are ordered oldest-first by ring position, so two same-seed runs dump
@@ -20,7 +19,6 @@
 #ifndef SENSORD_OBS_FLIGHT_RECORDER_H_
 #define SENSORD_OBS_FLIGHT_RECORDER_H_
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 
@@ -56,19 +54,16 @@ struct FlightEvent {
 
 namespace internal {
 /// The process-wide enable gate; exposed so the inline Record() fast path
-/// compiles to a single relaxed load. Not part of the public API.
-extern std::atomic<bool> g_flight_enabled;
+/// compiles to a single load. Not part of the public API.
+extern bool g_flight_enabled;
 }  // namespace internal
 
-/// Process-wide recorder: per-node rings behind one mutex (the simulator is
-/// single-threaded; the mutex guards against observer threads reading a
-/// snapshot mid-run, same model as the trace sink).
+/// Process-wide recorder: per-node rings and one dump sink, unsynchronized
+/// like the rest of sensord (single-threaded; DESIGN.md §12).
 class FlightRecorder {
  public:
-  /// True while recording is enabled. One relaxed atomic load.
-  static bool Enabled() {
-    return internal::g_flight_enabled.load(std::memory_order_relaxed);
-  }
+  /// True while recording is enabled. One flag load.
+  static bool Enabled() { return internal::g_flight_enabled; }
 
   /// Enables recording with `capacity_per_node` ring slots per node.
   /// Existing rings are cleared and re-sized. Pre: capacity >= 1.
@@ -84,7 +79,7 @@ class FlightRecorder {
   /// Flushes and closes the dump sink.
   static void CloseDumpSink();
 
-  /// Records one event into `node`'s ring. Disabled: one relaxed load.
+  /// Records one event into `node`'s ring. Disabled: one flag load.
   static void Record(int64_t node, FlightEventKind kind, double vt,
                      int64_t a = 0, int64_t b = 0, double value = 0.0) {
     if (!Enabled()) return;

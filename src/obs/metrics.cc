@@ -36,13 +36,10 @@ std::vector<double> Histogram::LinearBoundaries(double start, double step,
 
 Histogram::Histogram(std::vector<double> boundaries)
     : boundaries_(std::move(boundaries)),
-      buckets_(new std::atomic<uint64_t>[boundaries_.size() + 1]) {
+      buckets_(boundaries_.size() + 1, 0) {
   SENSORD_CHECK(!boundaries_.empty());
   for (size_t i = 1; i < boundaries_.size(); ++i) {
     SENSORD_CHECK_LT(boundaries_[i - 1], boundaries_[i]);
-  }
-  for (size_t i = 0; i <= boundaries_.size(); ++i) {
-    buckets_[i].store(0, std::memory_order_relaxed);
   }
 }
 
@@ -52,15 +49,13 @@ void Histogram::Record(double value) {
   const size_t bucket = static_cast<size_t>(
       std::lower_bound(boundaries_.begin(), boundaries_.end(), value) -
       boundaries_.begin());
-  buckets_[bucket].fetch_add(1, std::memory_order_relaxed);
-  AtomicAddDouble(sum_, value);
+  ++buckets_[bucket];
+  sum_ += value;
 }
 
 uint64_t Histogram::Count() const {
   uint64_t total = 0;
-  for (size_t i = 0; i <= boundaries_.size(); ++i) {
-    total += buckets_[i].load(std::memory_order_relaxed);
-  }
+  for (uint64_t in_bucket : buckets_) total += in_bucket;
   return total;
 }
 
@@ -73,8 +68,7 @@ double Histogram::Quantile(double q) const {
   const double rank = q * static_cast<double>(total);
   double cumulative = 0.0;
   for (size_t i = 0; i <= boundaries_.size(); ++i) {
-    const double in_bucket =
-        static_cast<double>(buckets_[i].load(std::memory_order_relaxed));
+    const double in_bucket = static_cast<double>(buckets_[i]);
     if (in_bucket == 0.0) continue;
     if (cumulative + in_bucket >= rank) {
       if (i == boundaries_.size()) return boundaries_.back();  // overflow
@@ -90,10 +84,8 @@ double Histogram::Quantile(double q) const {
 }
 
 void Histogram::Reset() {
-  for (size_t i = 0; i <= boundaries_.size(); ++i) {
-    buckets_[i].store(0, std::memory_order_relaxed);
-  }
-  sum_.store(0.0, std::memory_order_relaxed);
+  std::fill(buckets_.begin(), buckets_.end(), 0);
+  sum_ = 0.0;
 }
 
 MetricsRegistry& MetricsRegistry::Global() {
@@ -116,7 +108,6 @@ void MetricsRegistry::CheckKindCollision(const std::string& name,
 }
 
 Counter* MetricsRegistry::GetCounter(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
   CheckKindCollision(name, MetricKind::kCounter);
   auto& slot = counters_[name];
   if (slot == nullptr) slot.reset(new Counter());
@@ -124,7 +115,6 @@ Counter* MetricsRegistry::GetCounter(const std::string& name) {
 }
 
 Gauge* MetricsRegistry::GetGauge(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
   CheckKindCollision(name, MetricKind::kGauge);
   auto& slot = gauges_[name];
   if (slot == nullptr) slot.reset(new Gauge());
@@ -133,7 +123,6 @@ Gauge* MetricsRegistry::GetGauge(const std::string& name) {
 
 Histogram* MetricsRegistry::GetHistogram(const std::string& name,
                                          std::vector<double> boundaries) {
-  std::lock_guard<std::mutex> lock(mu_);
   CheckKindCollision(name, MetricKind::kHistogram);
   auto& slot = histograms_[name];
   if (slot == nullptr) slot.reset(new Histogram(std::move(boundaries)));
@@ -141,12 +130,10 @@ Histogram* MetricsRegistry::GetHistogram(const std::string& name,
 }
 
 size_t MetricsRegistry::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
   return counters_.size() + gauges_.size() + histograms_.size();
 }
 
 std::vector<MetricSnapshot> MetricsRegistry::Snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
   std::vector<MetricSnapshot> out;
   out.reserve(counters_.size() + gauges_.size() + histograms_.size());
   for (const auto& [name, counter] : counters_) {
@@ -187,7 +174,6 @@ std::vector<MetricSnapshot> MetricsRegistry::Snapshot() const {
 }
 
 void MetricsRegistry::ResetValues() {
-  std::lock_guard<std::mutex> lock(mu_);
   for (auto& [name, counter] : counters_) counter->Reset();
   for (auto& [name, gauge] : gauges_) gauge->Reset();
   for (auto& [name, hist] : histograms_) hist->Reset();

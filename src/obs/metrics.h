@@ -8,49 +8,33 @@
 // running system must be able to report — messages per tier, sample
 // propagation volume, per-update latency — so the hot paths in stream/,
 // core/ and net/ feed these metrics unconditionally. The design budget is a
-// few nanoseconds per event: updates are single relaxed atomic operations
-// (lock-free; no locks, no allocation), and call sites cache the metric
+// few nanoseconds per event: updates are plain integer and double
+// arithmetic (no locks, no allocation), and call sites cache the metric
 // pointer in a function-local static so the registry lookup happens once per
-// process. Registration takes a mutex; it is off the hot path by
-// construction.
-//
-// Snapshots (and the exporters built on them, see obs/exporters.h) read the
-// atomics without stopping writers, so a long simulation can be observed
-// mid-run.
+// process. Like the rest of sensord, metrics are single-threaded by
+// construction (DESIGN.md §12).
 
 #ifndef SENSORD_OBS_METRICS_H_
 #define SENSORD_OBS_METRICS_H_
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
-#include "util/thread_annotations.h"
-
 namespace sensord::obs {
 
-/// Adds `delta` to an atomic double with relaxed CAS (fetch_add for
-/// floating-point atomics is C++20 but spotty in shipped libstdc++).
-inline void AtomicAddDouble(std::atomic<double>& target, double delta) {
-  double current = target.load(std::memory_order_relaxed);
-  while (!target.compare_exchange_weak(current, current + delta,
-                                       std::memory_order_relaxed)) {
-  }
-}
-
-/// A monotonically increasing event count. Updates are one relaxed
-/// fetch_add; reads are one relaxed load.
+/// A monotonically increasing event count. Like every metric, owned by its
+/// registry and updated from one thread (DESIGN.md §12).
 class Counter {
  public:
-  void Increment(uint64_t delta = 1) {
-    value_.fetch_add(delta, std::memory_order_relaxed);
-  }
+  Counter(const Counter&) = delete;
+  Counter& operator=(const Counter&) = delete;
 
-  uint64_t value() const { return value_.load(std::memory_order_relaxed); }
+  void Increment(uint64_t delta = 1) { value_ += delta; }
+
+  uint64_t value() const { return value_; }
 
  private:
   friend class MetricsRegistry;
@@ -58,37 +42,43 @@ class Counter {
 
   /// Counters are monotonic; resetting is reserved for the registry's
   /// ResetValues (test isolation and bench warm-up epochs).
-  void Reset() { value_.store(0, std::memory_order_relaxed); }
+  void Reset() { value_ = 0; }
 
-  std::atomic<uint64_t> value_{0};
+  uint64_t value_ = 0;
 };
 
 /// A last-written-value metric (queue depths, model sizes, configuration).
 class Gauge {
  public:
-  void Set(double value) { value_.store(value, std::memory_order_relaxed); }
-  void Add(double delta) { AtomicAddDouble(value_, delta); }
+  Gauge(const Gauge&) = delete;
+  Gauge& operator=(const Gauge&) = delete;
 
-  double value() const { return value_.load(std::memory_order_relaxed); }
+  void Set(double value) { value_ = value; }
+  void Add(double delta) { value_ += delta; }
+
+  double value() const { return value_; }
 
  private:
   friend class MetricsRegistry;
   Gauge() = default;
-  void Reset() { value_.store(0.0, std::memory_order_relaxed); }
+  void Reset() { value_ = 0.0; }
 
-  std::atomic<double> value_{0.0};
+  double value_ = 0.0;
 };
 
 /// A fixed-boundary histogram for latency and size distributions.
 ///
 /// Bucket i < boundaries.size() counts values in (boundaries[i-1],
 /// boundaries[i]] (the first bucket is unbounded below); one overflow bucket
-/// counts values above the last boundary. Record() is two relaxed atomic
-/// updates plus a binary search over the boundaries. Quantiles are
-/// interpolated within the containing bucket, so they are exact to within
-/// one bucket width — size the boundaries to the precision the metric needs.
+/// counts values above the last boundary. Record() is a binary search over
+/// the boundaries plus two plain adds. Quantiles are interpolated within the
+/// containing bucket, so they are exact to within one bucket width — size
+/// the boundaries to the precision the metric needs.
 class Histogram {
  public:
+  Histogram(const Histogram&) = delete;
+  Histogram& operator=(const Histogram&) = delete;
+
   /// `count` boundaries at start, start*factor, start*factor^2, ...
   /// The standard latency layout is ExponentialBoundaries(16, 2, 26):
   /// 16ns .. ~0.5s. Pre: start > 0, factor > 1, count >= 1.
@@ -106,7 +96,7 @@ class Histogram {
   uint64_t Count() const;
 
   /// Sum of recorded values.
-  double Sum() const { return sum_.load(std::memory_order_relaxed); }
+  double Sum() const { return sum_; }
 
   /// Interpolated q-quantile of the recorded values (q in [0, 1]); exact to
   /// within one bucket width. Returns 0 when empty; values in the overflow
@@ -117,9 +107,7 @@ class Histogram {
 
   /// Count in bucket `i`. Pre: i <= boundaries().size() (the last index is
   /// the overflow bucket).
-  uint64_t BucketCount(size_t i) const {
-    return buckets_[i].load(std::memory_order_relaxed);
-  }
+  uint64_t BucketCount(size_t i) const { return buckets_[i]; }
 
  private:
   friend class MetricsRegistry;
@@ -128,8 +116,8 @@ class Histogram {
   void Reset();
 
   std::vector<double> boundaries_;
-  std::unique_ptr<std::atomic<uint64_t>[]> buckets_;  // boundaries_.size()+1
-  std::atomic<double> sum_{0.0};
+  std::vector<uint64_t> buckets_;  // boundaries_.size()+1
+  double sum_ = 0.0;
 };
 
 /// What a metric is; used by snapshots and the collision check.
@@ -162,7 +150,9 @@ struct MetricSnapshot {
 /// lifetime; metrics are never unregistered.
 ///
 /// MetricsRegistry::Global() is the process-wide instance every shipped
-/// instrumentation site uses; separate instances exist for tests.
+/// instrumentation site uses; separate instances exist for tests. Neither
+/// registration nor updates are synchronized: sensord runs on one thread
+/// (DESIGN.md §12).
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
@@ -204,14 +194,11 @@ class MetricsRegistry {
 
  private:
   // Rejects (SENSORD_CHECK) `name` registered under a different kind.
-  void CheckKindCollision(const std::string& name, MetricKind kind) const
-      REQUIRES(mu_);
+  void CheckKindCollision(const std::string& name, MetricKind kind) const;
 
-  mutable std::mutex mu_;
-  std::map<std::string, std::unique_ptr<Counter>> counters_ GUARDED_BY(mu_);
-  std::map<std::string, std::unique_ptr<Gauge>> gauges_ GUARDED_BY(mu_);
-  std::map<std::string, std::unique_ptr<Histogram>> histograms_
-      GUARDED_BY(mu_);
+  std::map<std::string, std::unique_ptr<Counter>> counters_;
+  std::map<std::string, std::unique_ptr<Gauge>> gauges_;
+  std::map<std::string, std::unique_ptr<Histogram>> histograms_;
 };
 
 /// The standard latency histogram layout: exponential 16ns .. ~0.5s.

@@ -1,39 +1,23 @@
 #include "obs/trace.h"
 
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <mutex>
 
 #include "obs/flight_recorder.h"
-#include "util/thread_annotations.h"
 
 namespace sensord::obs {
 namespace {
 
-std::atomic<bool> g_timing_enabled{false};
-
-// Hot-path flags are atomics; everything that must change together (the
-// sink file and the injected virtual clock) lives behind one mutex so
-// records never interleave and a span can never read a clock whose owner
-// was destroyed mid-write.
-std::atomic<bool> g_sink_enabled{false};
-std::atomic<int> g_clock_mode{static_cast<int>(TraceClockMode::kVirtual)};
-
-struct SinkState {
-  std::mutex mu;
-  FILE* file GUARDED_BY(mu) = nullptr;
-  TraceVirtualClockFn clock_fn GUARDED_BY(mu) = nullptr;
-  void* clock_ctx GUARDED_BY(mu) = nullptr;
-};
-
-SinkState& State() {
-  // Leaked: spans in static destructors must still find live state.
-  static SinkState* state = new SinkState();
-  return *state;
-}
+// Process-wide switches and sink state; single-threaded (DESIGN.md §12).
+// All trivially destructible, so spans in static destructors still find
+// them. The sink is open exactly while g_sink_file is non-null.
+bool g_timing_enabled = false;
+TraceClockMode g_clock_mode = TraceClockMode::kVirtual;
+FILE* g_sink_file = nullptr;
+TraceVirtualClockFn g_clock_fn = nullptr;
+void* g_clock_ctx = nullptr;
 
 // Virtual seconds → integer nanoseconds, the JSONL stamp unit. Clamped at
 // zero: spans before the simulation starts stamp 0, never wrap.
@@ -51,81 +35,53 @@ uint64_t MonotonicNowNs() {
           .count());
 }
 
-bool TimingEnabled() {
-  return g_timing_enabled.load(std::memory_order_relaxed);
-}
+bool TimingEnabled() { return g_timing_enabled; }
 
-void SetTimingEnabled(bool enabled) {
-  g_timing_enabled.store(enabled, std::memory_order_relaxed);
-}
+void SetTimingEnabled(bool enabled) { g_timing_enabled = enabled; }
 
-void SetTraceClockMode(TraceClockMode mode) {
-  g_clock_mode.store(static_cast<int>(mode), std::memory_order_relaxed);
-}
+void SetTraceClockMode(TraceClockMode mode) { g_clock_mode = mode; }
 
-TraceClockMode GetTraceClockMode() {
-  return static_cast<TraceClockMode>(
-      g_clock_mode.load(std::memory_order_relaxed));
-}
+TraceClockMode GetTraceClockMode() { return g_clock_mode; }
 
 void SetTraceVirtualClock(TraceVirtualClockFn fn, void* ctx) {
-  SinkState& state = State();
-  const std::lock_guard<std::mutex> lock(state.mu);
-  state.clock_fn = fn;
-  state.clock_ctx = fn == nullptr ? nullptr : ctx;
+  g_clock_fn = fn;
+  g_clock_ctx = fn == nullptr ? nullptr : ctx;
 }
 
 void ClearTraceVirtualClock(void* ctx) {
-  SinkState& state = State();
-  const std::lock_guard<std::mutex> lock(state.mu);
-  if (state.clock_ctx == ctx) {
-    state.clock_fn = nullptr;
-    state.clock_ctx = nullptr;
+  if (g_clock_ctx == ctx) {
+    g_clock_fn = nullptr;
+    g_clock_ctx = nullptr;
   }
 }
 
 Status OpenTraceSink(const std::string& path) {
-  SinkState& state = State();
-  const std::lock_guard<std::mutex> lock(state.mu);
-  if (state.file != nullptr) {
-    std::fclose(state.file);
-    state.file = nullptr;
-    g_sink_enabled.store(false, std::memory_order_release);
-  }
-  FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
+  CloseTraceSink();
+  g_sink_file = std::fopen(path.c_str(), "w");
+  if (g_sink_file == nullptr) {
     return Status::IoError("cannot open trace sink: " + path);
   }
-  state.file = f;
-  g_sink_enabled.store(true, std::memory_order_release);
   return Status::Ok();
 }
 
 void CloseTraceSink() {
-  SinkState& state = State();
-  const std::lock_guard<std::mutex> lock(state.mu);
-  g_sink_enabled.store(false, std::memory_order_release);
-  if (state.file != nullptr) {
-    std::fclose(state.file);
-    state.file = nullptr;
+  if (g_sink_file != nullptr) {
+    std::fclose(g_sink_file);
+    g_sink_file = nullptr;
   }
 }
 
-bool TraceSinkEnabled() {
-  return g_sink_enabled.load(std::memory_order_relaxed);
-}
+bool TraceSinkEnabled() { return g_sink_file != nullptr; }
 
 namespace {
 
-// Appends one fully formatted JSONL line to the sink, dropping it if the
-// sink closed between the enabled check and the write (the TraceSpan
-// straddle contract) or if the formatter overflowed its buffer.
+// Appends one fully formatted JSONL line to the open sink. A line that
+// overflowed the formatter's buffer would be truncated, invalid JSON; it is
+// dropped instead (span names are short literals by contract). Callers
+// check TraceSinkEnabled().
 void AppendSinkLine(const char* line, int len, int cap) {
   if (len <= 0 || len >= cap) return;
-  SinkState& state = State();
-  const std::lock_guard<std::mutex> lock(state.mu);
-  if (state.file == nullptr) return;
-  std::fwrite(line, 1, static_cast<size_t>(len), state.file);
+  std::fwrite(line, 1, static_cast<size_t>(len), g_sink_file);
 }
 
 }  // namespace
@@ -194,16 +150,15 @@ uint64_t SpanNowNs(double fallback_virtual_time) {
   if (GetTraceClockMode() == TraceClockMode::kWall) {
     return MonotonicNowNs();
   }
-  SinkState& state = State();
-  const std::lock_guard<std::mutex> lock(state.mu);
-  if (state.clock_fn != nullptr) {
-    return VirtualTimeToNs(state.clock_fn(state.clock_ctx));
+  if (g_clock_fn != nullptr) {
+    return VirtualTimeToNs(g_clock_fn(g_clock_ctx));
   }
   return VirtualTimeToNs(fallback_virtual_time);
 }
 
 void WriteTraceEvent(const char* name, int64_t node, double virtual_time,
                      uint64_t begin_ns, uint64_t end_ns) {
+  if (!TraceSinkEnabled()) return;  // the sink closed during the span
   char line[256];
   const int len = std::snprintf(
       line, sizeof(line),
@@ -212,13 +167,7 @@ void WriteTraceEvent(const char* name, int64_t node, double virtual_time,
       name, static_cast<long long>(node), virtual_time,
       static_cast<unsigned long long>(begin_ns),
       static_cast<unsigned long long>(end_ns));
-  // A span name long enough to overflow the buffer would truncate to invalid
-  // JSON; drop the record instead (names are short literals by contract).
-  if (len <= 0 || len >= static_cast<int>(sizeof(line))) return;
-  SinkState& state = State();
-  const std::lock_guard<std::mutex> lock(state.mu);
-  if (state.file == nullptr) return;  // sink closed between check and write
-  std::fwrite(line, 1, static_cast<size_t>(len), state.file);
+  AppendSinkLine(line, len, static_cast<int>(sizeof(line)));
 }
 
 }  // namespace internal

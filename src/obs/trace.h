@@ -3,17 +3,20 @@
 // Scoped latency capture and span tracing.
 //
 // Two independent switches, both off by default so the library's hot paths
-// pay only one relaxed atomic load per instrumentation point:
+// pay only one flag load per instrumentation point:
 //
 //  * Latency timing (SetTimingEnabled): ScopedTimer reads the monotonic
 //    clock around its scope and records the duration, in nanoseconds, into
-//    an obs::Histogram. Disabled, a ScopedTimer is one atomic load — no
+//    an obs::Histogram. Disabled, a ScopedTimer is one flag load — no
 //    clock reads, no allocation.
 //  * Span tracing (OpenTraceSink): TraceSpan appends one JSONL record per
 //    scope — name, node id, event-queue virtual time, begin/end timestamps
-//    in nanoseconds — to the sink file. Disabled, a TraceSpan is one atomic
+//    in nanoseconds — to the sink file. Disabled, a TraceSpan is one flag
 //    load — no clock reads, no allocation (the micro-benchmark
 //    BM_ObsDisabledTraceSpan holds this to zero allocations per event).
+//
+// Both switches and the sink are process-wide and unsynchronized: sensord
+// runs on one thread (DESIGN.md §12).
 //
 // Span timestamps are VIRTUAL by default: begin_ns/end_ns derive from the
 // simulator's event-queue clock (SetTraceVirtualClock; the Simulator
@@ -114,7 +117,7 @@ bool TraceSinkEnabled();
 /// trace/span/parent ids of DESIGN.md §11 in addition to the usual
 /// name/node/vt fields, so tools/trace/trace_report.py can join spans into
 /// per-decision chains. Instantaneous (begin == end == the current span
-/// clock). One relaxed atomic load and nothing else when no sink is open.
+/// clock). One flag load and nothing else when no sink is open.
 /// `name` must be a short identifier without '"' or '\'.
 void EmitCausalSpan(const char* name, int64_t node, double virtual_time,
                     uint64_t trace_id, uint64_t span_id, uint64_t parent_span);

@@ -23,13 +23,13 @@
 //
 // The estimator is an immutable snapshot: the online system (core::
 // DensityModel) rebuilds it from the current chain sample whenever it needs
-// to answer queries, which keeps this class trivially thread-safe and
-// exactly reproducible. A rebuild is cheap because DensityModel keeps its
-// own copy of the sample in canonical order as the sample changes: Create()
-// checks the order in O(|R|·d) and sorts only a sample that is not already
-// canonical. The flat-buffer Create() overload plus ReleaseSampleStorage()
-// let the rebuild path recycle the retiring estimator's buffer and perform
-// zero per-point heap allocations.
+// to answer queries, which keeps this class exactly reproducible. A rebuild
+// is cheap because DensityModel keeps its own copy of the sample in
+// canonical order as the sample changes: Create() checks the order in
+// O(|R|·d) and sorts only a sample that is not already canonical. The
+// flat-buffer Create() overload plus ReleaseSampleStorage() let the rebuild
+// path recycle the retiring estimator's buffer and perform zero per-point
+// heap allocations.
 
 #ifndef SENSORD_STATS_KDE_H_
 #define SENSORD_STATS_KDE_H_

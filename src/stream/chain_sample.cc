@@ -13,7 +13,7 @@ namespace sensord {
 namespace {
 
 // Cached metric handles (see obs/metrics.h): the registry lookup runs once
-// per process; per-event cost is one relaxed atomic increment.
+// per process; per-event cost is one integer add.
 struct ChainSampleMetrics {
   obs::Counter* adds;          // stream elements observed
   obs::Counter* restarts;      // chains restarted at a fresh element

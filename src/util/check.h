@@ -11,8 +11,8 @@
 //    file:line and aborts, so the bug is caught at the line it happened.
 //  * SENSORD_DCHECK* — compiled out of Release (NDEBUG) builds, like
 //    assert. Use on hot paths: per-element index checks, per-event queue
-//    invariants, per-observation dimension checks. The asan-ubsan and tsan
-//    presets build Debug, so sanitizer runs exercise every DCHECK.
+//    invariants, per-observation dimension checks. The asan-ubsan preset
+//    builds Debug, so sanitizer runs exercise every DCHECK.
 //
 // All macros evaluate their operands exactly once (never zero times when
 // active), and the compiled-out DCHECK forms still type-check their

@@ -1,29 +1,14 @@
 #include "util/logging.h"
 
-#include <atomic>
 #include <cstdio>
-#include <mutex>
-
-#include "util/thread_annotations.h"
 
 namespace sensord {
 namespace {
 
-std::atomic<LogLevel> g_level{LogLevel::kInfo};
-
-// Destination of finished log lines. The mutex serializes sink swaps
-// against emission, so concurrent loggers never interleave within a line
-// and a test sink can be detached without racing an in-flight message.
-struct LogSink {
-  std::mutex mu;
-  std::string* test_sink GUARDED_BY(mu) = nullptr;
-};
-
-LogSink& Sink() {
-  // Leaked: loggers in static destructors must still find a live sink.
-  static LogSink* sink = new LogSink();
-  return *sink;
-}
+// Process-wide and unsynchronized: sensord runs on one thread (DESIGN.md
+// §12). A null test sink means stderr.
+LogLevel g_level = LogLevel::kInfo;
+std::string* g_test_sink = nullptr;
 
 const char* LevelTag(LogLevel level) {
   switch (level) {
@@ -49,18 +34,15 @@ const char* Basename(const char* path) {
 
 }  // namespace
 
-void SetLogLevel(LogLevel level) { g_level.store(level); }
-LogLevel GetLogLevel() { return g_level.load(); }
+void SetLogLevel(LogLevel level) { g_level = level; }
+LogLevel GetLogLevel() { return g_level; }
 
-void SetLogSinkForTest(std::string* sink) {
-  const std::lock_guard<std::mutex> lock(Sink().mu);
-  Sink().test_sink = sink;
-}
+void SetLogSinkForTest(std::string* sink) { g_test_sink = sink; }
 
 namespace internal {
 
 LogMessage::LogMessage(LogLevel level, const char* file, int line)
-    : enabled_(level >= g_level.load()), level_(level) {
+    : enabled_(level >= g_level) {
   if (enabled_) {
     stream_ << "[" << LevelTag(level) << " " << Basename(file) << ":" << line
             << "] ";
@@ -69,15 +51,13 @@ LogMessage::LogMessage(LogLevel level, const char* file, int line)
 
 LogMessage::~LogMessage() {
   if (enabled_) {
-    const std::lock_guard<std::mutex> lock(Sink().mu);
-    if (Sink().test_sink != nullptr) {
-      Sink().test_sink->append(stream_.str());
-      Sink().test_sink->push_back('\n');
+    if (g_test_sink != nullptr) {
+      g_test_sink->append(stream_.str());
+      g_test_sink->push_back('\n');
     } else {
       std::fprintf(stderr, "%s\n", stream_.str().c_str());
     }
   }
-  (void)level_;
 }
 
 }  // namespace internal

@@ -23,8 +23,8 @@ LogLevel GetLogLevel();
 
 /// Redirects finished log lines into `*sink` (appended, one '\n'-terminated
 /// line per message) instead of stderr. Pass nullptr to restore stderr.
-/// Emission and sink swaps are mutex-serialized, so lines never interleave;
-/// the sink object itself must outlive the redirection.
+/// The sink object itself must outlive the redirection. Like the level, the
+/// sink is process-wide and unsynchronized (DESIGN.md §12).
 void SetLogSinkForTest(std::string* sink);
 
 namespace internal {
@@ -62,7 +62,6 @@ class LogMessage {
 
  private:
   bool enabled_;
-  LogLevel level_;
   std::ostringstream stream_;
 };
 

@@ -1,14 +1,11 @@
 // sensord_lint fixture: NO rule may fire on this file. It exercises the
 // idioms the rules must leave alone. Not compiled into any target.
-#include <atomic>
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <unordered_map>
 #include <vector>
 
 #include "util/rng.h"
-#include "util/thread_annotations.h"
 
 namespace sensord_lint_fixture {
 
@@ -35,19 +32,5 @@ inline std::vector<Row> Export(const std::map<uint64_t, double>& table) {
   for (const auto& [id, value] : table) out.push_back({id, value});
   return out;
 }
-
-// Fully annotated mutex-owning class: clean.
-class AnnotatedCounter {
- public:
-  void Add(uint64_t d) {
-    const std::lock_guard<std::mutex> lock(mu_);
-    total_ += d;
-  }
-
- private:
-  std::mutex mu_;
-  uint64_t total_ GUARDED_BY(mu_) = 0;
-  std::atomic<uint64_t> peeks_{0};
-};
 
 }  // namespace sensord_lint_fixture

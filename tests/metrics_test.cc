@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -17,22 +16,6 @@ TEST(CounterTest, StartsAtZeroAndAccumulates) {
   c->Increment();
   c->Increment(41);
   EXPECT_EQ(c->value(), 42u);
-}
-
-TEST(CounterTest, ConcurrentIncrementsAreLossless) {
-  MetricsRegistry registry;
-  Counter* c = registry.GetCounter("test.concurrent");
-  constexpr int kThreads = 4;
-  constexpr int kPerThread = 100000;
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([c] {
-      for (int i = 0; i < kPerThread; ++i) c->Increment();
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  EXPECT_EQ(c->value(), static_cast<uint64_t>(kThreads) * kPerThread);
 }
 
 TEST(GaugeTest, SetAndAdd) {
@@ -141,29 +124,6 @@ TEST(HistogramTest, QuantilesWithinOneBucketOfExact) {
     const double estimated = h->Quantile(q);
     EXPECT_NEAR(estimated, exact, kBucketWidth)
         << "q=" << q << " exact=" << exact << " estimated=" << estimated;
-  }
-}
-
-TEST(HistogramTest, ConcurrentRecordsAreLossless) {
-  MetricsRegistry registry;
-  Histogram* h = registry.GetHistogram("test.hist_concurrent",
-                                       Histogram::LinearBoundaries(1, 1, 8));
-  constexpr int kThreads = 4;
-  constexpr int kPerThread = 50000;
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([h, t] {
-      for (int i = 0; i < kPerThread; ++i) {
-        h->Record(static_cast<double>(t) + 1.0);
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  EXPECT_EQ(h->Count(), static_cast<uint64_t>(kThreads) * kPerThread);
-  for (int t = 0; t < kThreads; ++t) {
-    EXPECT_EQ(h->BucketCount(static_cast<size_t>(t)),
-              static_cast<uint64_t>(kPerThread));
   }
 }
 

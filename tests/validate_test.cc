@@ -32,14 +32,6 @@ TEST(IngestValidatorTest, NonFiniteCoordinatesAreRejected) {
   EXPECT_EQ(validator.rejected(), 3u);
 }
 
-TEST(IngestValidatorTest, NonFiniteCheckCanBeDisabled) {
-  IngestPolicy policy;
-  policy.reject_nonfinite = false;
-  IngestValidator validator(policy);
-  EXPECT_EQ(validator.Check({kNaN}), IngestVerdict::kAccept);
-  EXPECT_EQ(validator.Check({kInf}), IngestVerdict::kAccept);
-}
-
 TEST(IngestValidatorTest, RangePolicyIsClosedPerCoordinate) {
   IngestPolicy policy;
   policy.min_value = 0.0;

@@ -14,10 +14,6 @@ off-the-shelf tool can express:
                         message Send/Transmit, exporter/file output).
                         Hash-iteration order is unspecified and would leak
                         into emitted events and golden files.
-  thread-annotation     Any class or struct owning a std::mutex must annotate
-                        every other non-atomic, non-const field with
-                        GUARDED_BY(...) (src/util/thread_annotations.h), so
-                        clang's -Wthread-safety analysis has a complete model.
   test-pairing          Every src/**/*.cc translation unit has a matching
                         tests/<name>_test.cc, modulo the explicit map in
                         tools/lint/test_pairing.map.
@@ -34,7 +30,7 @@ Exit codes: 0 clean, 1 violations, 2 usage/configuration error.
 
 Usage:
   tools/lint/sensord_lint.py --compdb build/release/compile_commands.json
-  tools/lint/sensord_lint.py --rules determinism,thread --scan path.cc ...
+  tools/lint/sensord_lint.py --rules determinism --scan path.cc ...
 """
 
 import argparse
@@ -49,17 +45,15 @@ import tempfile
 
 RULE_DETERMINISM_CLOCK = "determinism-clock"
 RULE_DETERMINISM_UNORDERED = "determinism-unordered"
-RULE_THREAD_ANNOTATION = "thread-annotation"
 RULE_TEST_PAIRING = "test-pairing"
 RULE_HEADER_HYGIENE = "header-hygiene"
 
 RULE_GROUPS = {
     "determinism": (RULE_DETERMINISM_CLOCK, RULE_DETERMINISM_UNORDERED),
-    "thread": (RULE_THREAD_ANNOTATION,),
     "pairing": (RULE_TEST_PAIRING,),
     "headers": (RULE_HEADER_HYGIENE,),
 }
-DEFAULT_GROUPS = ("determinism", "thread", "pairing", "headers")
+DEFAULT_GROUPS = ("determinism", "pairing", "headers")
 
 # Identifiers that read ambient time or entropy. Any appearance (token-exact,
 # comments and strings stripped) is a violation outside the allowlist.
@@ -347,155 +341,6 @@ def rule_determinism_unordered(src):
     return out
 
 
-_CLASS_RE = re.compile(r"\b(class|struct)\b")
-_SKIP_CHUNK_FIRST = {
-    "public", "private", "protected", "using", "typedef", "friend",
-    "static", "template", "enum", "explicit", "virtual", "operator",
-    "constexpr", "inline",
-}
-
-
-def _class_bodies(code):
-    """Yields (name, body_start, body_end) for each class/struct body."""
-    for m in _CLASS_RE.finditer(code):
-        prev = _prev_two(code, m.start())
-        if prev.endswith("enum") or prev.endswith("m"):  # 'enum class/struct'
-            # _prev_two only returns 2 chars; re-check with a wider window.
-            window = code[max(0, m.start() - 8):m.start()]
-            if re.search(r"\benum\s*$", window):
-                continue
-        i = m.end()
-        name = "<anonymous>"
-        ident = IDENT_RE.search(code, i)
-        # Walk to the first '{' or ';' — a ';' first means forward declaration.
-        brace = code.find("{", i)
-        semi = code.find(";", i)
-        if brace == -1 or (semi != -1 and semi < brace):
-            continue
-        if ident and ident.start() < brace:
-            name = ident.group()
-        # 'class Foo : public Bar<...> {' — the '{' found may belong to a
-        # template argument? No: template args use <>, so the first '{' after
-        # the class head is the body.
-        yield name, brace, _match_forward(code, brace, "{", "}")
-
-
-def _field_chunks(code, body_start, body_end):
-    """Top-level declaration chunks of a class body (method bodies skipped)."""
-    chunks = []
-    i = body_start + 1
-    depth = 0
-    start = i
-    while i < body_end - 1:
-        c = code[i]
-        if c == "{":
-            depth += 1
-        elif c == "}":
-            depth -= 1
-            if depth == 0:
-                chunks.append((start, i + 1))
-                start = i + 1
-        elif c == ";" and depth == 0:
-            chunks.append((start, i))
-            start = i + 1
-        i += 1
-    chunks.append((start, body_end - 1))
-    return chunks
-
-
-def _chunk_is_function(chunk):
-    """True if the chunk has a parenthesis outside template args and outside
-    a GUARDED_BY-style annotation — i.e. it declares a function."""
-    angle = 0
-    i = 0
-    while i < len(chunk):
-        c = chunk[i]
-        if c == "<":
-            angle += 1
-        elif c == ">":
-            angle = max(0, angle - 1)
-        elif c == "(" and angle == 0:
-            return True
-        i += 1
-    return False
-
-
-_ANNOTATION_RE = re.compile(
-    r"\b(?:GUARDED_BY|PT_GUARDED_BY|ACQUIRED_BEFORE|ACQUIRED_AFTER)\s*\(")
-
-
-def _field_name(chunk):
-    cut = len(chunk)
-    for stop in "={[":
-        p = chunk.find(stop)
-        if p != -1:
-            cut = min(cut, p)
-    idents = IDENT_RE.findall(chunk[:cut])
-    return idents[-1] if idents else None
-
-
-def rule_thread_annotation(src):
-    code = src.code
-    if "mutex" not in code:
-        return []
-    out = []
-    for cls, body_start, body_end in _class_bodies(code):
-        fields = []  # (offset, chunk text with annotations removed, raw)
-        mutex_fields = []
-        for cstart, cend in _field_chunks(code, body_start, body_end):
-            chunk_text = code[cstart:cend]
-            raw = chunk_text.strip()
-            if not raw:
-                continue
-            cstart += len(chunk_text) - len(chunk_text.lstrip())
-            # An access label glued to the next declaration ('private:
-            # std::mutex mu_') is part of the same chunk: peel it off.
-            label = re.match(r"(?:(?:public|private|protected)\s*:\s*)+", raw)
-            if label is not None:
-                cstart += label.end()
-                raw = raw[label.end():]
-                if not raw:
-                    continue
-            first = IDENT_RE.match(raw)
-            if first is None or first.group() in _SKIP_CHUNK_FIRST:
-                continue
-            if "class" in raw.split() or "struct" in raw.split():
-                continue  # nested type: visited by _class_bodies itself
-            annotated = _ANNOTATION_RE.search(raw) is not None
-            stripped = _ANNOTATION_RE.sub("SENSORD_LINT_ANNOT(", raw)
-            # Remove the annotation's argument parens before fn detection.
-            stripped = re.sub(r"SENSORD_LINT_ANNOT\([^)]*\)", "", stripped)
-            if _chunk_is_function(stripped):
-                continue
-            name = _field_name(stripped)
-            if name is None:
-                continue
-            tokens = set(IDENT_RE.findall(stripped))
-            if "mutex" in tokens or "shared_mutex" in tokens or \
-               "recursive_mutex" in tokens:
-                mutex_fields.append(name)
-            else:
-                fields.append((cstart, name, annotated, stripped))
-        if not mutex_fields:
-            continue
-        for offset, name, annotated, stripped in fields:
-            if annotated:
-                continue
-            tokens = set(IDENT_RE.findall(stripped))
-            if "atomic" in tokens:
-                continue  # lock-free by design; reads race benignly
-            if stripped.lstrip().startswith("const "):
-                continue  # immutable after construction
-            out.append(Violation(
-                RULE_THREAD_ANNOTATION, src.relpath, src.line_of(offset),
-                "%s::%s" % (cls, name),
-                "field '%s' of mutex-owning %s '%s' lacks GUARDED_BY(...) "
-                "(see src/util/thread_annotations.h); annotate it or make "
-                "the lock-free design explicit with std::atomic" %
-                (name, "class/struct", cls)))
-    return out
-
-
 def load_pairing_map(path):
     """Parses 'src/foo.cc tests/bar_test.cc' or 'src/foo.cc -' lines."""
     mapping = {}
@@ -722,8 +567,7 @@ def main(argv=None):
     violations = []
 
     scan_rules = active & {RULE_DETERMINISM_CLOCK,
-                           RULE_DETERMINISM_UNORDERED,
-                           RULE_THREAD_ANNOTATION}
+                           RULE_DETERMINISM_UNORDERED}
     sources = []
     if scan_rules:
         sources = gather_sources(root, args.scan, (".cc", ".h", ".cpp"))
@@ -733,8 +577,6 @@ def main(argv=None):
                 violations += rule_determinism_clock(src, allowlist)
             if RULE_DETERMINISM_UNORDERED in active:
                 violations += rule_determinism_unordered(src)
-            if RULE_THREAD_ANNOTATION in active:
-                violations += rule_thread_annotation(src)
 
     if RULE_TEST_PAIRING in active:
         pairing_map = load_pairing_map(
