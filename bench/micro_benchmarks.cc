@@ -9,9 +9,12 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <utility>
+#include <vector>
 
 #include "core/density_model.h"
 #include "core/mdef.h"
@@ -275,28 +278,86 @@ void BM_MdefEvaluation2d(benchmark::State& state) {
 BENCHMARK(BM_MdefEvaluation2d)->Arg(128)->Arg(512);
 
 // The perf benchmark's mgdd_2d evaluation shape: a 2-d paper-mixture sample
-// of |R| = Arg, Scott bandwidths from sigma = 0.2 (wide enough that most
+// of |R| = n, Scott bandwidths from sigma = 0.2 (wide enough that most
 // kernels cover the whole 8 x 8 cell grid of r = 0.08, alpha*r = 0.01), and
 // queries drawn from the same stream.
-void BM_MdefEvaluation2dScott(benchmark::State& state) {
+std::pair<KernelDensityEstimator, std::vector<Point>> MdefScottCase(
+    int64_t n) {
   SyntheticOptions so;
   so.dimensions = 2;
   SyntheticMixtureStream stream(so, Rng(20));
   std::vector<Point> sample;
-  for (int64_t i = 0; i < state.range(0); ++i) sample.push_back(stream.Next());
+  for (int64_t i = 0; i < n; ++i) sample.push_back(stream.Next());
   auto kde = KernelDensityEstimator::CreateWithScottBandwidths(sample,
                                                                {0.2, 0.2});
-  MdefConfig cfg;
   std::vector<Point> queries;
   for (int i = 0; i < 1024; ++i) queries.push_back(stream.Next());
+  return {std::move(kde).value(), std::move(queries)};
+}
+
+// Warm: one estimator forever. A pass over the queries before the clock
+// starts fills the estimator's cell memo, so the loop times memo hits, which
+// must allocate nothing (allocs_per_op; scripts/bench.sh fails otherwise).
+void BM_MdefEvaluation2dScott(benchmark::State& state) {
+  const auto [kde, queries] = MdefScottCase(state.range(0));
+  MdefConfig cfg;
+  for (const Point& p : queries) {
+    benchmark::DoNotOptimize(ComputeMdef(kde, p, cfg));
+  }
   size_t q = 0;
+  const uint64_t allocs_before =
+      g_alloc_count.load(std::memory_order_relaxed);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ComputeMdef(*kde, queries[q], cfg));
+    benchmark::DoNotOptimize(ComputeMdef(kde, queries[q], cfg));
+    q = (q + 1) % queries.size();
+  }
+  const uint64_t allocs =
+      g_alloc_count.load(std::memory_order_relaxed) - allocs_before;
+  state.counters["allocs_per_op"] =
+      static_cast<double>(allocs) /
+      static_cast<double>(std::max<benchmark::IterationCount>(
+          state.iterations(), 1));
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_MdefEvaluation2dScott)->Arg(512);
+
+// Each estimator answers `per_version` consecutive queries and is then
+// replaced by a fresh copy whose memo is empty, as a replica update replaces
+// an MGDD leaf's estimator. The copies are made with the clock stopped.
+void MdefEvaluation2dScottFresh(benchmark::State& state, size_t per_version) {
+  const auto [pristine, queries] = MdefScottCase(state.range(0));
+  MdefConfig cfg;
+  std::vector<KernelDensityEstimator> fresh;
+  size_t next = 0, used = per_version, q = 0;
+  for (auto _ : state) {
+    if (used == per_version) {
+      used = 0;
+      if (++next >= fresh.size()) {
+        state.PauseTiming();
+        fresh.assign(64, pristine);
+        next = 0;
+        state.ResumeTiming();
+      }
+    }
+    benchmark::DoNotOptimize(ComputeMdef(fresh[next], queries[q], cfg));
+    ++used;
     q = (q + 1) % queries.size();
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_MdefEvaluation2dScott)->Arg(512);
+
+// Cold: every evaluation fills its cells on an estimator no query has seen.
+void BM_MdefEvaluation2dScottCold(benchmark::State& state) {
+  MdefEvaluation2dScottFresh(state, 1);
+}
+BENCHMARK(BM_MdefEvaluation2dScottCold)->Arg(512);
+
+// Per version: 8 evaluations per estimator, mgdd_2d's measured ratio of MDEF
+// scans to replica updates (64,000 to 8,176 at seed 2026).
+void BM_MdefEvaluation2dScottPerVersion(benchmark::State& state) {
+  MdefEvaluation2dScottFresh(state, 8);
+}
+BENCHMARK(BM_MdefEvaluation2dScottPerVersion)->Arg(512);
 
 void BM_JsDivergenceOnGrid(benchmark::State& state) {
   auto a = KernelDensityEstimator::CreateWithScottBandwidths(

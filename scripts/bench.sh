@@ -40,7 +40,7 @@ echo "=== bench.sh [1/5] micro_benchmarks -> ${OUT_DIR}/BENCH_micro.json ==="
 # still runs when SENSORD_QUICK=0.
 FILTER=""
 if [ "${SENSORD_QUICK}" != "0" ]; then
-  FILTER="--benchmark_filter=(BM_Obs.*|BM_ChainSampleAdd/128|BM_KdeBoxQuery1d/128|BM_KdeBoxQueryPruned2d/512|BM_KdeBoxQueryPruned3d/512|BM_MdefEvaluation2dScott/512|BM_DensityModelRebuild/(512|2048)|BM_DensityModelRebuild1d/500|BM_VarianceSketchStdDev/10000)"
+  FILTER="--benchmark_filter=(BM_Obs.*|BM_ChainSampleAdd/128|BM_KdeBoxQuery1d/128|BM_KdeBoxQueryPruned2d/512|BM_KdeBoxQueryPruned3d/512|BM_MdefEvaluation2dScott(Cold|PerVersion)?/512|BM_DensityModelRebuild/(512|2048)|BM_DensityModelRebuild1d/500|BM_VarianceSketchStdDev/10000)"
   export BENCHMARK_MIN_TIME="${BENCHMARK_MIN_TIME:-0.05}"
 fi
 build/release/bench/micro_benchmarks ${FILTER} \
@@ -98,6 +98,13 @@ for name in ("BM_ObsDisabledTraceSpan", "BM_ObsDisabledFlightRecorder"):
         sys.exit(f"bench.sh: {name} allocs_per_op is {per_op.get(name)}, "
                  f"not 0; disabled instrumentation allocates")
     print(f"bench.sh: {name} allocs_per_op 0")
+# The MDEF cell memo (DESIGN.md §13): an evaluation whose cells are all
+# memoised allocates nothing.
+name = "BM_MdefEvaluation2dScott/512"
+if per_op.get(name) != 0:
+    sys.exit(f"bench.sh: {name} allocs_per_op is {per_op.get(name)}, "
+             f"not 0; a warm MDEF evaluation allocates")
+print(f"bench.sh: {name} allocs_per_op 0")
 EOF
 
 echo "bench.sh: done"

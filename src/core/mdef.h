@@ -54,15 +54,15 @@ MdefResult MdefFromMasses(double counting_mass, double sum1, double sum2,
 MdefResult ComputeMdef(const DistributionEstimator& model, const Point& p,
                        const MdefConfig& config);
 
-/// Fast path for kernel estimators: exploits the product-kernel structure —
-/// each kernel's mass over a grid cell factors into per-dimension interval
-/// masses, and only the span of cells with non-zero mass on every dimension
-/// is walked. For the |R'| candidate rows that can reach the grid the scan
-/// costs O(|R'| * (sum_d cells_d + prod_d span_d)) instead of
-/// O(|R| * d * prod_d cells_d) box queries. The results are bit-identical to
-/// the previous kernel, which decoded every grid cell of every row, and match
-/// the generic overload up to floating-point association. In 1-d it defers
-/// to the generic overload.
+/// Fast path for kernel estimators in d > 1. The cell masses come from the
+/// estimator's grid memo (KernelDensityEstimator::GridCellMasses): the grid
+/// of side 2*alpha*r does not depend on p, so between two rebuilds of the
+/// estimator each cell is computed at most once, by the factored product
+/// kernel, and an evaluation whose cells are all known costs the moment sums
+/// plus one ball query and allocates nothing. Results do not depend on which
+/// earlier evaluations filled the memo, and match the generic overload up to
+/// floating-point association (DESIGN.md §13). In 1-d it defers to the
+/// generic path. Same preconditions as the generic overload.
 MdefResult ComputeMdef(const class KernelDensityEstimator& kde,
                        const Point& p, const MdefConfig& config);
 

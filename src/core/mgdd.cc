@@ -28,6 +28,7 @@ struct MgddMetrics {
   obs::Counter* updates_originated;   // root model pushes
   obs::Counter* updates_suppressed;   // kOnModelChange pushes skipped (JS)
   obs::Counter* updates_applied;      // replica updates applied at leaves
+  obs::Counter* updates_malformed;    // dropped: wrong dimensionality
   obs::Histogram* update_slots;       // slot-diff size per originated push
 };
 
@@ -41,6 +42,7 @@ const MgddMetrics& Metrics() {
       registry.GetCounter("core.mgdd.root.updates_originated"),
       registry.GetCounter("core.mgdd.root.updates_suppressed"),
       registry.GetCounter("core.mgdd.leaf.updates_applied"),
+      registry.GetCounter("core.mgdd.leaf.updates_malformed"),
       registry.GetHistogram("core.mgdd.root.update_slots",
                             obs::SizeBoundaries())};
   return m;
@@ -125,6 +127,17 @@ void MgddLeafNode::OnReading(const Point& value) {
 void MgddLeafNode::HandleMessage(const Message& msg) {
   if (msg.kind != kMsgGlobalModelUpdate) return;
   const auto& update = std::any_cast<const SharedUpdate&>(msg.payload);
+  // An update of the wrong dimensionality could never build an estimator;
+  // drop it whole rather than let it into the replica.
+  const size_t d = options_.model.dimensions;
+  bool well_formed = update->stddevs.size() == d;
+  for (const GlobalSlotUpdate& u : update->updates) {
+    well_formed = well_formed && u.value.size() == d;
+  }
+  if (!well_formed) {
+    Metrics().updates_malformed->Increment();
+    return;
+  }
   if (msg.trace_id != 0) {
     // Terminal hop of the update chain rooted at mgdd.originate_update.
     obs::EmitCausalSpan(
@@ -139,6 +152,7 @@ void MgddLeafNode::HandleMessage(const Message& msg) {
   for (const GlobalSlotUpdate& u : update->updates) {
     if (u.slot >= global_sample_.size()) continue;  // malformed; ignore
     global_sample_[u.slot] = u.value;
+    if (!slot_valid_[u.slot]) ++valid_slots_;
     slot_valid_[u.slot] = true;
   }
   global_stddevs_ = update->stddevs;
@@ -177,9 +191,11 @@ bool MgddLeafNode::RestoreState(const std::vector<uint8_t>& bytes) {
   const uint32_t slots = r.TakeU32();
   global_sample_.clear();
   slot_valid_.clear();
+  valid_slots_ = 0;
   for (uint32_t i = 0; i < slots && r.ok(); ++i) {
     slot_valid_.push_back(r.TakeBool());
     global_sample_.push_back(r.TakePoint());
+    valid_slots_ += slot_valid_.back() ? 1 : 0;
   }
   global_stddevs_ = r.TakeDoubles();
   replica_version_ = r.TakeU64();
@@ -200,6 +216,7 @@ void MgddLeafNode::ResetVolatileState() {
   stuck_ = StuckSensorDetector(options_.ingest.stuck_run_threshold);
   global_sample_.clear();
   slot_valid_.clear();
+  valid_slots_ = 0;
   global_stddevs_.clear();
   updates_received_ = 0;
   replica_version_ = 0;

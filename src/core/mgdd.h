@@ -109,8 +109,8 @@ class MgddLeafNode : public Node {
 
   const DensityModel& local_model() const { return local_model_; }
 
-  /// True once at least one global update has been received.
-  bool HasGlobalModel() const { return !global_sample_.empty(); }
+  /// True once the replica holds at least one valid slot.
+  bool HasGlobalModel() const { return valid_slots_ > 0; }
 
   /// The replica's current estimator. Pre: HasGlobalModel().
   const KernelDensityEstimator& GlobalEstimator() const;
@@ -141,6 +141,7 @@ class MgddLeafNode : public Node {
   // Replica of the root's sample and sigmas.
   std::vector<Point> global_sample_;  // indexed by slot; may be sparse early
   std::vector<bool> slot_valid_;
+  size_t valid_slots_ = 0;  // count of true entries in slot_valid_
   std::vector<double> global_stddevs_;
   uint64_t updates_received_ = 0;
   uint64_t replica_version_ = 0;

@@ -36,8 +36,9 @@ class DistributionEstimator {
   virtual double BoxProbability(const Point& lo, const Point& hi) const = 0;
 
   /// Probability mass of the L-infinity ball of radius r centred at p:
-  /// the paper's P(p, r) = P[p - r, p + r] (Eq. 5).
-  double BallProbability(const Point& p, double r) const {
+  /// the paper's P(p, r) = P[p - r, p + r] (Eq. 5). Estimators override it
+  /// when they can answer without materializing the box.
+  virtual double BallProbability(const Point& p, double r) const {
     Point lo(p), hi(p);
     for (size_t i = 0; i < p.size(); ++i) {
       lo[i] -= r;

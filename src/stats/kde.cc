@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <memory>
+#include <vector>
 
 #include "core/snapshot.h"
 #include "obs/metrics.h"
@@ -19,11 +21,15 @@ namespace {
 // box (batched or not), the primary-axis candidate count |R'|;
 // batch_swept_terms counts the rows a batched sweep actually loads (the
 // union candidate range), which is what the batching saves on top of
-// per-box pruning.
+// per-box pruning. Each memoised GridCellMasses() call is either a
+// cell_memo_fill (it ran the cell kernel) or a cell_memo_hit (every listed
+// cell was known).
 struct KdeMetrics {
   obs::Counter* box_queries;
   obs::Histogram* terms_per_query;
   obs::Counter* batch_swept_terms;
+  obs::Counter* cell_memo_fills;
+  obs::Counter* cell_memo_hits;
 };
 
 const KdeMetrics& Metrics() {
@@ -32,8 +38,47 @@ const KdeMetrics& Metrics() {
       registry.GetCounter("stats.kde.box_queries"),
       registry.GetHistogram("stats.kde.terms_per_query",
                             obs::SizeBoundaries()),
-      registry.GetCounter("stats.kde.batch_swept_terms")};
+      registry.GetCounter("stats.kde.batch_swept_terms"),
+      registry.GetCounter("stats.kde.cell_memo_fills"),
+      registry.GetCounter("stats.kde.cell_memo_hits")};
   return m;
+}
+
+// First canonical row whose primary-axis coordinate satisfies `pred`, which
+// must be false and then true along the sorted column.
+template <typename Pred>
+size_t FirstRowWhere(const FlatPoints& sample, size_t axis, Pred pred) {
+  size_t lo = 0, hi = sample.size();
+  while (lo < hi) {
+    const size_t mid = lo + (hi - lo) / 2;
+    if (pred(sample.At(mid, axis))) {
+      hi = mid;
+    } else {
+      lo = mid + 1;
+    }
+  }
+  return lo;
+}
+
+// Calls visit(offset) for every cell first[i] ..= last[i] of a grid in
+// row-major order (last axis fastest), offset = sum_i pos[i] * stride[i];
+// `pos` holds the visited cell's indices.
+template <typename Visit>
+void ForEachCell(size_t d, const size_t* first, const size_t* last,
+                 const size_t* stride, size_t* pos, Visit visit) {
+  for (size_t i = 0; i < d; ++i) pos[i] = first[i];
+  for (;;) {
+    size_t offset = 0;
+    for (size_t i = 0; i < d; ++i) offset += pos[i] * stride[i];
+    visit(offset);
+    size_t i = d;
+    while (i > 0 && pos[i - 1] == last[i - 1]) {
+      pos[i - 1] = first[i - 1];
+      --i;
+    }
+    if (i == 0) return;
+    ++pos[i - 1];
+  }
 }
 
 }  // namespace
@@ -155,37 +200,15 @@ std::vector<double> KernelDensityEstimator::bandwidths() const {
   return out;
 }
 
-size_t KernelDensityEstimator::LowerBoundRow(double v) const {
-  size_t lo = 0, hi = sample_size_;
-  while (lo < hi) {
-    const size_t mid = lo + (hi - lo) / 2;
-    if (sample_.At(mid, primary_axis_) < v) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;
-}
-
-size_t KernelDensityEstimator::UpperBoundRow(double v) const {
-  size_t lo = 0, hi = sample_size_;
-  while (lo < hi) {
-    const size_t mid = lo + (hi - lo) / 2;
-    if (sample_.At(mid, primary_axis_) <= v) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;
-}
-
 std::pair<size_t, size_t> KernelDensityEstimator::CandidateRows(
     double axis_lo, double axis_hi) const {
   const double b = kernels_[primary_axis_].bandwidth();
-  const size_t begin = LowerBoundRow(axis_lo - b);
-  const size_t end = UpperBoundRow(axis_hi + b);
+  const double lo = axis_lo - b;
+  const double hi = axis_hi + b;
+  const size_t begin =
+      FirstRowWhere(sample_, primary_axis_, [lo](double t) { return t >= lo; });
+  const size_t end =
+      FirstRowWhere(sample_, primary_axis_, [hi](double t) { return t > hi; });
   return {begin, std::max(begin, end)};
 }
 
@@ -224,34 +247,46 @@ double KernelDensityEstimator::Interval1dProbability(double lo,
   return mass / static_cast<double>(sample_size_);
 }
 
-double KernelDensityEstimator::BoxProbability(const Point& lo,
-                                              const Point& hi) const {
-  SENSORD_DCHECK_EQ(lo.size(), dimensions());
-  SENSORD_DCHECK_EQ(hi.size(), dimensions());
+template <typename Lo, typename Hi>
+double KernelDensityEstimator::BoxMass(Lo lo, Hi hi) const {
   Metrics().box_queries->Increment();
-  for (size_t i = 0; i < lo.size(); ++i) {
-    if (lo[i] > hi[i]) return 0.0;  // inverted box: empty
+  const size_t d = dimensions();
+  for (size_t i = 0; i < d; ++i) {
+    if (lo(i) > hi(i)) return 0.0;  // inverted box: empty
   }
-  if (dimensions() == 1) return Interval1dProbability(lo[0], hi[0]);
+  if (d == 1) return Interval1dProbability(lo(0), hi(0));
 
   // d > 1: only the canonical rows whose primary-axis coordinate falls in
   // [lo_a - B_a, hi_a + B_a] can have nonzero mass in the box; every other
   // row's primary-axis factor is exactly 0, so restricting the sweep keeps
   // the sum bit-identical to the full canonical-order sweep.
-  const size_t d = dimensions();
-  const auto [begin, end] =
-      CandidateRows(lo[primary_axis_], hi[primary_axis_]);
+  const auto [begin, end] = CandidateRows(lo(primary_axis_), hi(primary_axis_));
   Metrics().terms_per_query->Record(static_cast<double>(end - begin));
   double total = 0.0;
   for (size_t row = begin; row < end; ++row) {
     const double* t = sample_.Row(row);
     double contrib = 1.0;
     for (size_t i = 0; i < d && contrib > 0.0; ++i) {
-      contrib *= kernels_[i].MassInInterval(t[i], lo[i], hi[i]);
+      contrib *= kernels_[i].MassInInterval(t[i], lo(i), hi(i));
     }
     total += contrib;
   }
   return total / static_cast<double>(sample_size_);
+}
+
+double KernelDensityEstimator::BoxProbability(const Point& lo,
+                                              const Point& hi) const {
+  SENSORD_DCHECK_EQ(lo.size(), dimensions());
+  SENSORD_DCHECK_EQ(hi.size(), dimensions());
+  return BoxMass([&lo](size_t i) { return lo[i]; },
+                 [&hi](size_t i) { return hi[i]; });
+}
+
+double KernelDensityEstimator::BallProbability(const Point& p,
+                                               double r) const {
+  SENSORD_DCHECK_EQ(p.size(), dimensions());
+  return BoxMass([&p, r](size_t i) { return p[i] - r; },
+                 [&p, r](size_t i) { return p[i] + r; });
 }
 
 void KernelDensityEstimator::BoxProbabilityBatch(
@@ -365,6 +400,225 @@ double KernelDensityEstimator::Pdf(const Point& p) const {
     total += contrib;
   }
   return total / static_cast<double>(sample_size_);
+}
+
+std::span<const double> KernelDensityEstimator::GridCellMasses(
+    double side, const Point& center, double radius) const {
+  const size_t d = dimensions();
+  SENSORD_DCHECK_GT(d, 1u);
+  SENSORD_DCHECK_EQ(center.size(), d);
+  if (!memo_.memo) memo_.memo = std::make_unique<CellMemo>();
+  CellMemo& memo = *memo_.memo;
+  const size_t cells_per_axis = static_cast<size_t>(std::ceil(1.0 / side));
+  memo.first.resize(d);
+  memo.last.resize(d);
+  size_t count = 1;
+  for (size_t i = 0; i < d; ++i) {
+    // Cells whose centre lies within `radius` of center[i]. Centres grow
+    // with j, so the cells kept form one run first[i] ..= last[i].
+    const long lo = static_cast<long>(std::floor((center[i] - radius) / side));
+    const long hi = static_cast<long>(std::floor((center[i] + radius) / side));
+    size_t kept = 0;
+    for (long j = std::max(0L, lo);
+         j <= hi && j < static_cast<long>(cells_per_axis); ++j) {
+      const double a = static_cast<double>(j) * side;
+      if (std::fabs(a + 0.5 * side - center[i]) > radius) continue;
+      if (kept++ == 0) memo.first[i] = static_cast<size_t>(j);
+      memo.last[i] = static_cast<size_t>(j);
+    }
+    if (kept == 0) return {};
+    SENSORD_DCHECK_EQ(kept, memo.last[i] - memo.first[i] + 1);
+    count *= kept;
+  }
+
+  bool memoise = true;
+  size_t grid_cells = 1;
+  for (size_t i = 0; i < d && memoise; ++i) {
+    memoise = cells_per_axis <= kMaxCellMemoCells / grid_cells;
+    grid_cells *= cells_per_axis;
+  }
+  if (!memoise) {
+    // Too large a grid to keep: compute the listed cells into the per-call
+    // buffer.
+    std::vector<size_t> stride(d, 1);
+    for (size_t i = d - 1; i-- > 0;) {
+      stride[i] = stride[i + 1] * (memo.last[i + 1] - memo.first[i + 1] + 1);
+    }
+    memo.out.assign(count, 0.0);
+    AccumulateCellMasses(side, memo.first.data(), memo.last.data(),
+                         stride.data(), memo.out.data());
+    return memo.out;
+  }
+
+  if (memo.side != side) {  // first call, or another grid: start afresh
+    memo.side = side;
+    memo.mass.assign(grid_cells, 0.0);
+    memo.known.assign(grid_cells, 0);
+    memo.stride.assign(d, 1);
+    for (size_t i = d - 1; i-- > 0;) {
+      memo.stride[i] = memo.stride[i + 1] * cells_per_axis;
+    }
+    memo.fill_first.resize(d);
+    memo.fill_last.resize(d);
+    memo.pos.resize(d);
+  }
+  // The bounding sub-box of the listed cells not yet known.
+  bool any_unknown = false;
+  ForEachCell(d, memo.first.data(), memo.last.data(), memo.stride.data(),
+              memo.pos.data(), [&memo, &any_unknown, d](size_t offset) {
+                if (memo.known[offset]) return;
+                for (size_t i = 0; i < d; ++i) {
+                  const size_t j = memo.pos[i];
+                  memo.fill_first[i] =
+                      any_unknown ? std::min(memo.fill_first[i], j) : j;
+                  memo.fill_last[i] =
+                      any_unknown ? std::max(memo.fill_last[i], j) : j;
+                }
+                any_unknown = true;
+              });
+  if (any_unknown) {
+    // Known cells inside the sub-box are computed again. A cell's mass
+    // depends only on the rows that reach it, never on the sub-box it was
+    // computed in, so they get back the bits they had.
+    Metrics().cell_memo_fills->Increment();
+    ForEachCell(d, memo.fill_first.data(), memo.fill_last.data(),
+                memo.stride.data(), memo.pos.data(), [&memo](size_t offset) {
+                  memo.mass[offset] = 0.0;
+                  memo.known[offset] = 1;
+                });
+    size_t base = 0;
+    for (size_t i = 0; i < d; ++i) base += memo.fill_first[i] * memo.stride[i];
+    AccumulateCellMasses(side, memo.fill_first.data(), memo.fill_last.data(),
+                         memo.stride.data(), memo.mass.data() + base);
+  } else {
+    Metrics().cell_memo_hits->Increment();
+  }
+  memo.out.resize(count);
+  size_t k = 0;
+  ForEachCell(d, memo.first.data(), memo.last.data(), memo.stride.data(),
+              memo.pos.data(), [&memo, &k](size_t offset) {
+                memo.out[k++] = memo.mass[offset];
+              });
+  return memo.out;
+}
+
+void KernelDensityEstimator::AccumulateCellMasses(double side,
+                                                  const size_t* first,
+                                                  const size_t* last,
+                                                  const size_t* stride,
+                                                  double* dst) const {
+  const size_t d = dimensions();
+  SENSORD_DCHECK_EQ(stride[d - 1], 1u);
+  // Per axis: each cell's lower edge, and the current row's mass in it.
+  std::vector<std::vector<double>> edge(d), per_dim(d);
+  for (size_t i = 0; i < d; ++i) {
+    for (size_t j = first[i]; j <= last[i]; ++j) {
+      edge[i].push_back(static_cast<double>(j) * side);
+    }
+    per_dim[i].resize(edge[i].size());
+  }
+  // Per row and axis: the cells its support reaches, [reach_lo, reach_hi),
+  // and among them the span of non-zero mass, [span_lo, span_hi); the
+  // odometer position over axes 0 .. d-2.
+  std::vector<size_t> reach_lo(d), reach_hi(d), span_lo(d), span_hi(d),
+      pos(d);
+  std::vector<double> outer(d);  // per_dim[i][pos[i]] for i < d-1
+
+  // The rows whose support reaches the sub-box on the primary axis, found
+  // with the reach test's own comparisons (each is monotone in the
+  // coordinate), so whether a row is swept never depends on where the
+  // sub-box ends.
+  const size_t axis = primary_axis_;
+  const double axis_b = kernels_[axis].bandwidth();
+  const double axis_lo = edge[axis].front();
+  const double axis_hi = edge[axis].back() + side;
+  const size_t row_begin = FirstRowWhere(
+      sample_, axis,
+      [axis_b, axis_lo](double t) { return t + axis_b > axis_lo; });
+  const size_t row_end = std::max(
+      row_begin, FirstRowWhere(sample_, axis, [axis_b, axis_hi](double t) {
+        return !(t - axis_b < axis_hi);
+      }));
+  for (size_t row = row_begin; row < row_end; ++row) {
+    const double* t = sample_.Row(row);
+    // The reach test decides which rows a cell sums: a row outside the
+    // support's reach adds nothing, whatever its rounded mass. Each half of
+    // the test is monotone in the cell index, so the cells a row reaches on
+    // an axis form one run [reach_lo, reach_hi).
+    bool reaches = true;
+    for (size_t i = 0; i < d && reaches; ++i) {
+      const double b = kernels_[i].bandwidth();
+      size_t lo = 0, hi = edge[i].size();
+      while (lo < hi && !(t[i] - b < edge[i][lo] + side)) ++lo;
+      while (hi > lo && !(t[i] + b > edge[i][hi - 1])) --hi;
+      reach_lo[i] = lo;
+      reach_hi[i] = hi;
+      reaches = lo < hi;
+    }
+    if (!reaches) continue;
+
+    bool any_negative = false;
+    bool any_empty = false;
+    for (size_t i = 0; i < d; ++i) {
+      std::vector<double>& masses = per_dim[i];
+      span_lo[i] = masses.size();
+      span_hi[i] = 0;
+      for (size_t j = reach_lo[i]; j < reach_hi[i]; ++j) {
+        const double a = edge[i][j];
+        const double m = kernels_[i].MassInInterval(t[i], a, a + side);
+        masses[j] = m;
+        if (m == 0.0) continue;
+        span_lo[i] = std::min(span_lo[i], j);
+        span_hi[i] = j + 1;
+        any_negative = any_negative || m < 0.0;
+      }
+      any_empty = any_empty || span_hi[i] == 0;
+    }
+    if (any_negative) {
+      // The product below stops at the first non-positive partial and still
+      // adds it, so a negative factor (should IntegralOver ever round a mass
+      // below zero near the edge of the support) reaches cells whose product
+      // a zero factor further down would otherwise clear: walk every cell
+      // the row reaches.
+      for (size_t i = 0; i < d; ++i) {
+        span_lo[i] = reach_lo[i];
+        span_hi[i] = reach_hi[i];
+      }
+    } else if (any_empty) {
+      continue;  // every cell's product has a zero factor
+    }
+
+    // Outer product accumulation over the spans: axes 0 .. d-2 advance as
+    // an odometer, the last one is the contiguous inner loop. Each cell
+    // gets ((1.0 * m[d-1]) * m[d-2]) ... * m[0], stopping at the first
+    // non-positive partial. Cells outside a span get a zero product, and
+    // adding 0.0 leaves them as they are, so skipping them is bit-identical.
+    const double* inner = per_dim[d - 1].data();
+    for (size_t i = 0; i + 1 < d; ++i) pos[i] = span_lo[i];
+    for (;;) {
+      size_t base = 0;
+      for (size_t i = 0; i + 1 < d; ++i) {
+        base += pos[i] * stride[i];
+        outer[i] = per_dim[i][pos[i]];
+      }
+      double* out = dst + base;
+      const double next = outer[d - 2];  // kept in a register across stores
+      for (size_t j = span_lo[d - 1]; j < span_hi[d - 1]; ++j) {
+        double m = inner[j];
+        if (m > 0.0) {
+          m *= next;
+          for (size_t i = d - 2; i-- > 0 && m > 0.0;) m *= outer[i];
+        }
+        out[j] += m;
+      }
+      size_t i = d - 1;
+      while (i > 0 && ++pos[i - 1] == span_hi[i - 1]) {
+        pos[i - 1] = span_lo[i - 1];
+        --i;
+      }
+      if (i == 0) break;
+    }
+  }
 }
 
 void KernelDensityEstimator::Serialize(SnapshotWriter* writer) const {

@@ -23,7 +23,11 @@
 //
 // The estimator is an immutable snapshot: the online system (core::
 // DensityModel) rebuilds it from the current chain sample whenever it needs
-// to answer queries, which keeps this class exactly reproducible. A rebuild
+// to answer queries, which keeps this class exactly reproducible. Its one
+// piece of mutable state, the memo of MDEF grid-cell masses behind
+// GridCellMasses(), is invisible in the bits: a memoised cell holds exactly
+// the value a fresh computation gives, and the memo dies with the estimator,
+// so a rebuild never sees a stale one (DESIGN.md §13). A rebuild
 // is cheap because DensityModel keeps its own copy of the sample in
 // canonical order as the sample changes: Create() checks the order in
 // O(|R|·d) and sorts only a sample that is not already canonical. The
@@ -36,7 +40,10 @@
 
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <initializer_list>
+#include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -88,6 +95,10 @@ class KernelDensityEstimator : public DistributionEstimator {
   /// O(log|R| + d|R'|), |R'| being the candidate rows whose primary-axis
   /// coordinate falls in [lo_a − B_a, hi_a + B_a].
   double BoxProbability(const Point& lo, const Point& hi) const override;
+
+  /// BoxProbability(p − r, p + r), bit for bit and with the same metrics,
+  /// without allocating the box.
+  double BallProbability(const Point& p, double r) const override;
 
   /// One candidate-range sweep for the whole batch in d > 1: the union of
   /// the live boxes bounds one binary-searched row range, each row in it is
@@ -148,6 +159,38 @@ class KernelDensityEstimator : public DistributionEstimator {
   std::pair<size_t, size_t> CandidateRows(double axis_lo,
                                           double axis_hi) const;
 
+  /// Masses of MDEF's sampling neighbourhood on the aligned grid of cell
+  /// side `side`: cell j of an axis covers [j·side, j·side + side), for
+  /// j < ceil(1/side), and the cells returned are those whose centre lies
+  /// within `radius` of `center` on every axis (the L-infinity ball
+  /// B(center, radius); core/mdef.h). A cell's mass is unnormalised —
+  /// divide by sample_size() for probability — and sums, in canonical row
+  /// order, the product-kernel mass of every row whose support reaches the
+  /// cell on every axis (t_i + B_i > a_i and t_i − B_i < a_i + side, a_i
+  /// the cell's lower edge). The span lists the cells row-major (last axis
+  /// fastest); it is owned by the estimator and valid until its next call.
+  ///
+  /// The estimator memoises the grid's masses (one grid at a time; a call
+  /// with another side starts a new one): a call computes only the listed
+  /// cells not yet known, over their bounding sub-box, and a call whose
+  /// cells are all known allocates nothing. A copy of the estimator starts
+  /// with an empty memo. Grids of more than kMaxCellMemoCells cells are not
+  /// memoised; every call computes its cells afresh. Pre: dimensions() > 1,
+  /// center.size() == dimensions(), side > 0.
+  std::span<const double> GridCellMasses(double side, const Point& center,
+                                         double radius) const;
+
+  /// The largest grid GridCellMasses() memoises, in cells: d = 2 at the
+  /// default MDEF radii (50 × 50 cells of side 0.02, 20 KB) fits; d = 3
+  /// (125,000 cells, 1 MB) does not.
+  static constexpr size_t kMaxCellMemoCells = size_t{1} << 14;
+
+  /// Cells the grid-mass memo holds (0 until a memoised GridCellMasses()
+  /// call allocates it). Never exceeds kMaxCellMemoCells.
+  size_t cell_memo_cells() const {
+    return memo_.memo ? memo_.memo->mass.size() : 0;
+  }
+
   /// Steals the flat sample storage so a rebuild path can recycle the heap
   /// buffer (core::DensityModel refills it for the next estimator). The
   /// estimator is left empty and must not be queried afterwards.
@@ -178,18 +221,56 @@ class KernelDensityEstimator : public DistributionEstimator {
   // in that order already.
   void Canonicalize();
 
-  // First canonical row with primary-axis coordinate >= v (resp. > v).
-  size_t LowerBoundRow(double v) const;
-  size_t UpperBoundRow(double v) const;
-
   // 1-d fast path for BoxProbability.
   double Interval1dProbability(double lo, double hi) const;
+
+  // BoxProbability over the box whose axis-i extent is [lo(i), hi(i)].
+  template <typename Lo, typename Hi>
+  double BoxMass(Lo lo, Hi hi) const;
+
+  // The factored MDEF cell kernel, GridCellMasses()'s only fill routine:
+  // adds every reaching row's mass, in canonical order, to the cells
+  // first[i] ..= last[i] of the grid of side `side`. `dst` is the cell
+  // (first[0], ..., first[d-1]); stride[i] steps one cell along axis i,
+  // stride[d-1] == 1.
+  void AccumulateCellMasses(double side, const size_t* first,
+                            const size_t* last, const size_t* stride,
+                            double* dst) const;
+
+  // GridCellMasses()'s grid and per-call buffers.
+  struct CellMemo {
+    double side = 0.0;              // the memoised grid; 0 = none yet
+    std::vector<double> mass;       // row-major over the whole grid
+    std::vector<uint8_t> known;     // per cell: mass[] is filled
+    std::vector<size_t> stride;     // the whole grid's, per axis
+    std::vector<size_t> first, last, fill_first, fill_last, pos;
+    std::vector<double> out;        // the listed cells, row-major
+  };
+
+  // Owns the CellMemo, allocated by the first GridCellMasses() call, so an
+  // estimator that never answers MDEF stays small. The memo is a cache, so
+  // a copy of the estimator starts without one; a move takes it along.
+  struct CellMemoSlot {
+    CellMemoSlot() = default;
+    CellMemoSlot(const CellMemoSlot&) {}
+    CellMemoSlot& operator=(const CellMemoSlot&) {
+      memo.reset();
+      return *this;
+    }
+    CellMemoSlot(CellMemoSlot&&) = default;
+    CellMemoSlot& operator=(CellMemoSlot&&) = default;
+
+    std::unique_ptr<CellMemo> memo;
+  };
 
   FlatPoints sample_;  // canonical order; in 1-d its data() is the sorted
                        // coordinate array the fast path binary-searches
   std::vector<EpanechnikovKernel> kernels_;
   size_t sample_size_;
   size_t primary_axis_ = 0;
+  // Single-threaded by construction (DESIGN.md §12), so a const query may
+  // fill it.
+  mutable CellMemoSlot memo_;
 };
 
 }  // namespace sensord

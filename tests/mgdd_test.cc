@@ -1,5 +1,7 @@
 #include "core/mgdd.h"
 
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -9,6 +11,7 @@
 #include "stats/bandwidth.h"
 #include "net/hierarchy.h"
 #include "net/network.h"
+#include "obs/metrics.h"
 #include "util/rng.h"
 
 namespace sensord {
@@ -244,6 +247,95 @@ TEST(MgddTest, NoDetectionWithoutGlobalModel) {
   }
   fx.Round({{0.95}});
   EXPECT_TRUE(fx.observer.events.empty());
+}
+
+// Hands `payload` to leaf `leaf` as a global-model update from the root.
+void DeliverUpdate(MgddFixture& fx, size_t leaf,
+                   GlobalModelUpdatePayload payload) {
+  Message msg;
+  msg.from = fx.ids.back();
+  msg.to = fx.ids[leaf];
+  msg.kind = kMsgGlobalModelUpdate;
+  msg.payload = std::shared_ptr<const GlobalModelUpdatePayload>(
+      std::make_shared<GlobalModelUpdatePayload>(std::move(payload)));
+  fx.sim.node(fx.ids[leaf]).HandleMessage(msg);
+}
+
+// Options for a 2-d leaf whose only global updates are the crafted ones: with
+// f = 0 no sample reaches the root, so it never pushes.
+MgddOptions CraftedUpdateOptions() {
+  MgddOptions opts = TestOptions();
+  opts.model.dimensions = 2;
+  opts.sample_fraction = 0.0;
+  return opts;
+}
+
+// Feeds leaf 0 enough readings to pass min_observations and test each one.
+void FeedLeaf(MgddFixture& fx, int readings) {
+  Rng values(31);
+  for (int i = 0; i < readings; ++i) {
+    fx.sim.DeliverReading(fx.ids[0], {values.UniformDouble(0.3, 0.5),
+                                      values.UniformDouble(0.3, 0.5)});
+    fx.t += 1.0;
+    fx.sim.RunUntil(fx.t);
+  }
+}
+
+TEST(MgddTest, UpdateWithNoValidSlotLeavesNoGlobalModel) {
+  // Neither an empty update nor one whose slots are all out of range gives
+  // the replica a slot, so the leaf must not try to build an estimator.
+  const MgddOptions opts = CraftedUpdateOptions();
+  for (int variant = 0; variant < 2; ++variant) {
+    MgddFixture fx(opts);
+    GlobalModelUpdatePayload update;
+    update.stddevs = {0.1, 0.1};
+    if (variant == 1) {
+      update.updates.push_back(GlobalSlotUpdate{
+          static_cast<uint32_t>(opts.model.sample_size), {0.4, 0.4}});
+    }
+    DeliverUpdate(fx, 0, std::move(update));
+    const auto& leaf =
+        static_cast<const MgddLeafNode&>(fx.sim.node(fx.ids[0]));
+    EXPECT_FALSE(leaf.HasGlobalModel()) << "variant " << variant;
+    FeedLeaf(fx, 300);
+    EXPECT_TRUE(fx.observer.events.empty()) << "variant " << variant;
+  }
+}
+
+TEST(MgddTest, UpdateOfWrongDimensionalityIsDropped) {
+  // A sigma vector or a slot point of the wrong size is dropped whole and
+  // counted; a well-formed update afterwards arms the detector.
+  const MgddOptions opts = CraftedUpdateOptions();
+  obs::Counter* malformed = obs::MetricsRegistry::Global().GetCounter(
+      "core.mgdd.leaf.updates_malformed");
+  for (int variant = 0; variant < 2; ++variant) {
+    MgddFixture fx(opts);
+    GlobalModelUpdatePayload bad;
+    bad.stddevs = variant == 0 ? std::vector<double>{0.1}
+                               : std::vector<double>{0.1, 0.1};
+    bad.updates.push_back(GlobalSlotUpdate{0, {0.4, 0.4}});
+    bad.updates.push_back(
+        GlobalSlotUpdate{1, variant == 1 ? Point{0.4} : Point{0.41, 0.4}});
+    const uint64_t before = malformed->value();
+    DeliverUpdate(fx, 0, std::move(bad));
+    EXPECT_EQ(malformed->value(), before + 1) << "variant " << variant;
+    const auto& leaf =
+        static_cast<const MgddLeafNode&>(fx.sim.node(fx.ids[0]));
+    EXPECT_FALSE(leaf.HasGlobalModel()) << "variant " << variant;
+    EXPECT_EQ(leaf.global_updates_received(), 0u);
+    FeedLeaf(fx, 300);  // must not abort
+
+    GlobalModelUpdatePayload good;
+    good.stddevs = {0.1, 0.1};
+    for (uint32_t slot = 0; slot < 50; ++slot) {
+      good.updates.push_back(
+          GlobalSlotUpdate{slot, {0.3 + 0.004 * slot, 0.5 - 0.004 * slot}});
+    }
+    DeliverUpdate(fx, 0, std::move(good));
+    EXPECT_TRUE(leaf.HasGlobalModel());
+    EXPECT_EQ(leaf.GlobalEstimator().sample_size(), 50u);
+    FeedLeaf(fx, 10);
+  }
 }
 
 }  // namespace

@@ -8,14 +8,20 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "baseline/brute_force_d.h"
 #include "core/density_model.h"
 #include "core/mdef.h"
+#include "core/mgdd.h"
+#include "core/protocol.h"
 #include "core/snapshot.h"
 #include "data/synthetic.h"
+#include "net/hierarchy.h"
+#include "net/network.h"
 #include "obs/metrics.h"
 #include "stats/divergence.h"
 #include "stats/empirical.h"
@@ -440,11 +446,13 @@ INSTANTIATE_TEST_SUITE_P(Dims, KdePruningBitIdentityTest,
                          ::testing::Values(1, 2, 3));
 
 // ---------------------------------------------------------------------
-// The factored MDEF cell scan (DESIGN.md §13) walks each kernel's cells as
-// an odometer over per-dimension spans of non-zero mass. Every cell must
-// receive the same product, in the same order, as the per-cell walk that
-// decoded each cell index with div/mod — so every MdefResult field must be
-// *bit-identical* to that walk, kept here as the reference.
+// The factored MDEF cell kernel (DESIGN.md §13) walks each kernel's cells as
+// an odometer over per-dimension spans of non-zero mass, and the estimator
+// memoises the cell masses it computes. Every cell must receive the same
+// product, in the same order, as the per-cell walk that decoded each cell
+// index with div/mod — so every MdefResult field must be *bit-identical* to
+// that walk, kept here as the reference, whichever queries filled the memo
+// and in whatever order.
 // ---------------------------------------------------------------------
 
 MdefResult ReferenceDivModMdef(const KernelDensityEstimator& kde,
@@ -529,26 +537,55 @@ void ExpectBitIdentical(const MdefResult& got, const MdefResult& want,
 
 class MdefKernelBitIdentityTest : public ::testing::TestWithParam<size_t> {};
 
+// Clustered bulk plus uniform strays in [0.1, 0.5]^d, so [0.8, 1]^d holds
+// no sample point.
+std::vector<Point> MdefTestSample(size_t d, size_t n, Rng* rng) {
+  std::vector<Point> sample;
+  for (size_t i = 0; i < n; ++i) {
+    Point t(d);
+    for (double& x : t) {
+      x = rng->Bernoulli(0.2) ? rng->UniformDouble(0.1, 0.5)
+                              : Clamp(rng->Gaussian(0.3, 0.04), 0.1, 0.5);
+    }
+    sample.push_back(std::move(t));
+  }
+  return sample;
+}
+
+// A grid the memo holds in d = 3 as well: side 0.08, 13 cells per axis.
+MdefConfig CoarseMdefConfig() {
+  MdefConfig config;
+  config.sampling_radius = 0.12;
+  config.counting_radius = 0.04;
+  config.k_sigma = 1.0;
+  return config;
+}
+
+// Evaluates `queries` in `order` on `kde` and checks every result against
+// the div/mod reference, bit for bit.
+void ExpectOrderMatchesReference(const KernelDensityEstimator& kde,
+                                 const std::vector<Point>& queries,
+                                 const std::vector<size_t>& order,
+                                 const MdefConfig& config,
+                                 const std::string& where) {
+  for (size_t q : order) {
+    ExpectBitIdentical(ComputeMdef(kde, queries[q], config),
+                       ReferenceDivModMdef(kde, queries[q], config),
+                       where + " query " + std::to_string(q));
+  }
+}
+
 TEST_P(MdefKernelBitIdentityTest, FactoredScanMatchesDivModWalkBitwise) {
   const size_t d = GetParam();
   MdefConfig config;  // r = 0.08, alpha*r = 0.01: an 8-9 cell grid per axis
   config.k_sigma = 1.0;
+  obs::Counter* hits =
+      obs::MetricsRegistry::Global().GetCounter("stats.kde.cell_memo_hits");
   size_t empty_sweeps = 0;
   for (uint64_t seed = 1; seed <= 50; ++seed) {
     Rng rng(seed * 131 + d);
-    // Clustered bulk plus uniform strays in [0.1, 0.5]^d, so [0.8, 1]^d
-    // holds no sample point.
     const size_t n = 64 + static_cast<size_t>(rng.UniformUint64(448));
-    std::vector<Point> sample;
-    for (size_t i = 0; i < n; ++i) {
-      Point t(d);
-      for (double& x : t) {
-        x = rng.Bernoulli(0.2)
-                ? rng.UniformDouble(0.1, 0.5)
-                : Clamp(rng.Gaussian(0.3, 0.04), 0.1, 0.5);
-      }
-      sample.push_back(std::move(t));
-    }
+    const std::vector<Point> sample = MdefTestSample(d, n, &rng);
     // Wide: Scott bandwidths from sigma = 0.2, so most kernels cover every
     // cell. Narrow: a fraction of a cell up to a few cells, so spans trim.
     auto wide = KernelDensityEstimator::CreateWithScottBandwidths(
@@ -577,23 +614,238 @@ TEST_P(MdefKernelBitIdentityTest, FactoredScanMatchesDivModWalkBitwise) {
     for (double& x : outside) x = rng.UniformDouble(0.8, 0.9);
     queries.push_back(outside);
 
-    for (const KernelDensityEstimator* kde : {&*wide, &*narrow}) {
-      for (const Point& p : queries) {
-        const MdefResult want = ReferenceDivModMdef(*kde, p, config);
-        const MdefResult got = ComputeMdef(*kde, p, config);
-        ExpectBitIdentical(got, want,
-                           "seed " + std::to_string(seed) + " d " +
-                               std::to_string(d) + " p0 " +
-                               std::to_string(p[0]) + " wide " +
-                               std::to_string(kde == &*wide));
-        if (&p == &queries.back() && kde == &*narrow) {
-          empty_sweeps += want.cells_considered > 0 && want.avg_mass == 0.0;
+    std::vector<size_t> in_order(queries.size()), shuffled(queries.size());
+    for (size_t q = 0; q < queries.size(); ++q) in_order[q] = shuffled[q] = q;
+    for (size_t q = queries.size(); q > 1; --q) {
+      std::swap(shuffled[q - 1], shuffled[rng.UniformUint64(q)]);
+    }
+
+    for (const KernelDensityEstimator* pristine : {&*wide, &*narrow}) {
+      // One estimator serves both grids in turn, so the second grid's cold
+      // pass also checks that a new grid replaces the old memo.
+      KernelDensityEstimator kde = *pristine;
+      for (const MdefConfig& cfg : {config, CoarseMdefConfig()}) {
+        const bool default_grid =
+            cfg.counting_radius == config.counting_radius;
+        const std::string where =
+            "seed " + std::to_string(seed) + " d " + std::to_string(d) +
+            " wide " + std::to_string(pristine == &*wide) + " coarse " +
+            std::to_string(!default_grid);
+        // Cold, then warming as overlapping queries fill the memo.
+        ExpectOrderMatchesReference(kde, queries, in_order, cfg,
+                                    where + " cold");
+        // Fully warm, in another order: every evaluation is a memo hit
+        // wherever the grid is memoised.
+        const uint64_t hits_before = hits->value();
+        ExpectOrderMatchesReference(kde, queries, shuffled, cfg,
+                                    where + " warm");
+        const bool memoised = d == 2 || !default_grid;
+        EXPECT_EQ(hits->value() - hits_before,
+                  memoised ? queries.size() : 0u)
+            << where;
+        // The memo stays within its cap; d = 3 at the default radii
+        // (125,000 cells) allocates none.
+        EXPECT_LE(kde.cell_memo_cells(),
+                  KernelDensityEstimator::kMaxCellMemoCells);
+        if (!memoised) {
+          EXPECT_EQ(kde.cell_memo_cells(), 0u) << where;
         }
+        if (d == 2 && default_grid) {
+          EXPECT_EQ(kde.cell_memo_cells(), 2500u) << where;
+        }
+        // Cold again, in the shuffled order: other sub-boxes fill the cells.
+        KernelDensityEstimator reshuffled = *pristine;
+        ExpectOrderMatchesReference(reshuffled, queries, shuffled, cfg,
+                                    where + " shuffled cold");
       }
     }
+    const MdefResult swept =
+        ReferenceDivModMdef(*narrow, queries.back(), config);
+    empty_sweeps += swept.cells_considered > 0 && swept.avg_mass == 0.0;
   }
   // The outside-support case really swept no mass (not vacuously empty).
   EXPECT_EQ(empty_sweeps, 50u);
+}
+
+TEST_P(MdefKernelBitIdentityTest, MemoFollowsSuccessiveEstimators) {
+  // A DensityModel rebuilds its estimator as its sample changes; each
+  // rebuild starts a new memo, so every estimator answers from its own
+  // sample, never from cells a predecessor filled.
+  const size_t d = GetParam();
+  const MdefConfig config = d == 2 ? MdefConfig{} : CoarseMdefConfig();
+  for (uint64_t seed = 1; seed <= 50; ++seed) {
+    Rng rng(seed * 733 + d);
+    DensityModelConfig mc;
+    mc.dimensions = d;
+    mc.window_size = 400;
+    mc.sample_size = 64;
+    mc.max_estimator_age = 8;
+    DensityModel model(mc, rng.Split());
+    const std::vector<Point> stream = MdefTestSample(d, 600, &rng);
+    std::vector<Point> queries = MdefTestSample(d, 4, &rng);
+    const KernelDensityEstimator* previous = nullptr;
+    size_t rebuilds = 0;
+    for (size_t i = 0; i < stream.size(); ++i) {
+      model.Observe(stream[i]);
+      if (i < 100 || i % 25 != 0) continue;
+      const KernelDensityEstimator& kde = model.Estimator();
+      rebuilds += &kde != previous;
+      previous = &kde;
+      ExpectOrderMatchesReference(
+          kde, queries, {0, 1, 2, 3}, config,
+          "seed " + std::to_string(seed) + " reading " + std::to_string(i));
+    }
+    EXPECT_GT(rebuilds, 0u);
+  }
+}
+
+// Hands `slots` (and sigmas) to `leaf` as one global-model update.
+void DeliverReplica(MgddLeafNode* leaf, NodeId from,
+                    const std::vector<GlobalSlotUpdate>& slots,
+                    std::vector<double> stddevs) {
+  auto update = std::make_shared<GlobalModelUpdatePayload>();
+  update->updates = slots;
+  update->stddevs = std::move(stddevs);
+  Message msg;
+  msg.from = from;
+  msg.to = leaf->id();
+  msg.kind = kMsgGlobalModelUpdate;
+  msg.payload = std::shared_ptr<const GlobalModelUpdatePayload>(update);
+  leaf->HandleMessage(msg);
+}
+
+std::vector<MdefResult> EvaluateAll(const KernelDensityEstimator& kde,
+                                    const std::vector<Point>& queries,
+                                    const MdefConfig& config) {
+  std::vector<MdefResult> out;
+  for (const Point& p : queries) out.push_back(ComputeMdef(kde, p, config));
+  return out;
+}
+
+TEST_P(MdefKernelBitIdentityTest, MemoFollowsLeafReplicaRestoreAndReset) {
+  // An MGDD leaf's replica estimator, and with it its memo, must follow the
+  // replica through updates, a checkpoint restore and an amnesia reset.
+  const size_t d = GetParam();
+  for (uint64_t seed = 1; seed <= 50; ++seed) {
+    Rng rng(seed * 977 + d);
+    MgddOptions opts;
+    opts.model.dimensions = d;
+    opts.model.sample_size = 96;
+    opts.mdef = d == 2 ? MdefConfig{} : CoarseMdefConfig();
+    Simulator sim;
+    const auto layout = BuildGridHierarchy(2, 2);
+    ASSERT_TRUE(layout.ok());
+    const std::vector<NodeId> ids = sim.Instantiate(
+        *layout, [&](int, const HierarchyNodeSpec& spec)
+                     -> std::unique_ptr<Node> {
+          if (spec.level == 1) {
+            return std::make_unique<MgddLeafNode>(opts, rng.Split(), nullptr);
+          }
+          return std::make_unique<MgddInternalNode>(opts, rng.Split());
+        });
+    auto& leaf = static_cast<MgddLeafNode&>(sim.node(ids[0]));
+    const NodeId root = ids.back();
+    const std::vector<double> sigmas(d, 0.1);
+
+    std::vector<GlobalSlotUpdate> first;
+    for (const Point& t : MdefTestSample(d, opts.model.sample_size, &rng)) {
+      first.push_back(
+          GlobalSlotUpdate{static_cast<uint32_t>(first.size()), t});
+    }
+    std::vector<GlobalSlotUpdate> second;  // a third of the slots move
+    const std::vector<Point> moved = MdefTestSample(d, 32, &rng);
+    for (size_t i = 0; i < moved.size(); ++i) {
+      second.push_back(GlobalSlotUpdate{static_cast<uint32_t>(3 * i),
+                                        moved[i]});
+    }
+    const std::vector<Point> queries = MdefTestSample(d, 5, &rng);
+    const std::string where = "seed " + std::to_string(seed);
+    const std::vector<size_t> order = {0, 1, 2, 3, 4};
+
+    DeliverReplica(&leaf, root, first, sigmas);
+    const std::vector<MdefResult> at_first =
+        EvaluateAll(leaf.GlobalEstimator(), queries, opts.mdef);
+    ExpectOrderMatchesReference(leaf.GlobalEstimator(), queries, order,
+                                opts.mdef, where + " first");
+    const std::vector<uint8_t> checkpoint = leaf.SaveState();
+
+    DeliverReplica(&leaf, root, second, sigmas);
+    const std::vector<MdefResult> at_second =
+        EvaluateAll(leaf.GlobalEstimator(), queries, opts.mdef);
+    ExpectOrderMatchesReference(leaf.GlobalEstimator(), queries, order,
+                                opts.mdef, where + " second");
+
+    // Restore: back to the first replica, whose answers must return.
+    leaf.ResetVolatileState();
+    ASSERT_TRUE(leaf.RestoreState(checkpoint));
+    const std::vector<MdefResult> restored =
+        EvaluateAll(leaf.GlobalEstimator(), queries, opts.mdef);
+    for (size_t q = 0; q < queries.size(); ++q) {
+      ExpectBitIdentical(restored[q], at_first[q], where + " restored");
+    }
+
+    // Amnesia: no replica until the next update, then that update's.
+    leaf.ResetVolatileState();
+    ASSERT_FALSE(leaf.HasGlobalModel());
+    DeliverReplica(&leaf, root, first, sigmas);
+    DeliverReplica(&leaf, root, second, sigmas);
+    const std::vector<MdefResult> reset =
+        EvaluateAll(leaf.GlobalEstimator(), queries, opts.mdef);
+    for (size_t q = 0; q < queries.size(); ++q) {
+      ExpectBitIdentical(reset[q], at_second[q], where + " reset");
+    }
+  }
+}
+
+TEST_P(MdefKernelBitIdentityTest, MemoFillRuleAtCellEdges) {
+  // Rows whose support edge t ± B sits on a cell edge — exactly, and one
+  // ulp either side. Whether such a row reaches the cell is decided by the
+  // reach test alone, so the cell's memoised mass is the same whether a
+  // query filled it at the edge of its sub-box or in its interior, in
+  // either order, and equals the reference's.
+  const size_t d = GetParam();
+  const MdefConfig config = d == 2 ? MdefConfig{} : CoarseMdefConfig();
+  const double side = 2.0 * config.counting_radius;
+  for (uint64_t seed = 1; seed <= 50; ++seed) {
+    Rng rng(seed * 389 + d);
+    std::vector<Point> sample = MdefTestSample(d, 40, &rng);
+    const size_t axis = rng.UniformUint64(d);
+    const size_t cell = 8 + rng.UniformUint64(4);  // a cell in the bulk
+    const double edge = static_cast<double>(cell) * side;
+    std::vector<double> bandwidths(d);
+    for (double& b : bandwidths) b = rng.UniformDouble(0.005, 0.06);
+    const double b = bandwidths[axis];
+    for (double centre :
+         {edge - b, edge + b, edge + side - b, edge + side + b}) {
+      for (double t : {std::nextafter(centre, 0.0), centre,
+                       std::nextafter(centre, 1.0)}) {
+        Point row = MdefTestSample(d, 1, &rng)[0];
+        row[axis] = t;
+        sample.push_back(std::move(row));
+      }
+    }
+    auto pristine = KernelDensityEstimator::Create(sample, bandwidths);
+    ASSERT_TRUE(pristine.ok());
+
+    // The edge cell first in its query's sub-box, last in another's, and
+    // in the middle of a third's.
+    const double centre = edge + 0.5 * side;
+    const double r = config.sampling_radius;
+    std::vector<Point> queries;
+    for (double at : {centre + r - 0.25 * side, centre - r + 0.25 * side,
+                      centre}) {
+      Point p(d, 0.3);
+      p[axis] = at;
+      queries.push_back(std::move(p));
+    }
+    const std::string where = "seed " + std::to_string(seed);
+    for (const std::vector<size_t>& order :
+         {std::vector<size_t>{0, 1, 2}, std::vector<size_t>{2, 1, 0},
+          std::vector<size_t>{1, 2, 0}}) {
+      KernelDensityEstimator kde = *pristine;
+      ExpectOrderMatchesReference(kde, queries, order, config, where);
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Dims, MdefKernelBitIdentityTest,
