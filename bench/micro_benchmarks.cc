@@ -86,19 +86,36 @@ void BM_ChainSampleAdd(benchmark::State& state) {
 }
 BENCHMARK(BM_ChainSampleAdd)->Arg(128)->Arg(512)->Arg(2048);
 
+// Steady-state Add() of a sketch whose window has slid four times, so the
+// bucket ring has reached its size: allocs_per_op must read 0
+// (scripts/bench.sh fails otherwise).
 void BM_VarianceSketchAdd(benchmark::State& state) {
-  VarianceSketch sketch(static_cast<size_t>(state.range(0)), 0.2);
+  const size_t window = static_cast<size_t>(state.range(0));
+  VarianceSketch sketch(window, 0.2);
   Rng values(3);
+  for (size_t i = 0; i < 4 * window; ++i) {
+    sketch.Add(values.Gaussian(0.4, 0.05));
+  }
+  const uint64_t allocs_before =
+      g_alloc_count.load(std::memory_order_relaxed);
   for (auto _ : state) {
     sketch.Add(values.Gaussian(0.4, 0.05));
   }
+  const uint64_t allocs =
+      g_alloc_count.load(std::memory_order_relaxed) - allocs_before;
+  state.counters["allocs_per_op"] =
+      static_cast<double>(allocs) /
+      static_cast<double>(std::max<benchmark::IterationCount>(
+          state.iterations(), 1));
+  state.counters["buckets"] = static_cast<double>(sketch.NumBuckets());
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_VarianceSketchAdd)->Arg(10000)->Arg(20000);
 
 // One StdDev() query of a full sketch over the paper's 3-Gaussian mixture:
-// the newest-first fold over every bucket (≈940 at ε = 0.2, |W| = 10000)
-// that each estimator rebuild pays per dimension for Scott's rule.
+// the O(1) read of the two-stack window aggregate (the oldest bucket, the
+// next one's front aggregate and the running back aggregate) that each
+// estimator rebuild pays per dimension for Scott's rule.
 void BM_VarianceSketchStdDev(benchmark::State& state) {
   const size_t window = static_cast<size_t>(state.range(0));
   VarianceSketch sketch(window, 0.2);
@@ -111,6 +128,41 @@ void BM_VarianceSketchStdDev(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_VarianceSketchStdDev)->Arg(10000);
+
+// d3_1d's sketch load per reading: a D3 leaf at |W| = 10000 rebuilds its
+// estimator about once every ten readings (core.density_model.rebuild_ratio
+// ≈ 0.10), so each iteration is ten Add()s and one StdDev() on a
+// steady-state sketch over the mixture stream. allocs_per_op must read 0
+// (scripts/bench.sh fails otherwise).
+void BM_VarianceSketchAddStdDev(benchmark::State& state) {
+  const size_t window = static_cast<size_t>(state.range(0));
+  VarianceSketch sketch(window, 0.2);
+  SyntheticMixtureStream stream(SyntheticOptions{}, Rng(3));
+  std::vector<double> values(64 * 1024);
+  for (double& v : values) v = stream.Next()[0];
+  size_t next = 0;
+  for (size_t i = 0; i < 4 * window; ++i) {
+    sketch.Add(values[next]);
+    next = (next + 1) % values.size();
+  }
+  const uint64_t allocs_before =
+      g_alloc_count.load(std::memory_order_relaxed);
+  for (auto _ : state) {
+    for (int i = 0; i < 10; ++i) {
+      sketch.Add(values[next]);
+      next = (next + 1) % values.size();
+    }
+    benchmark::DoNotOptimize(sketch.StdDev());
+  }
+  const uint64_t allocs =
+      g_alloc_count.load(std::memory_order_relaxed) - allocs_before;
+  state.counters["allocs_per_op"] =
+      static_cast<double>(allocs) /
+      static_cast<double>(std::max<benchmark::IterationCount>(
+          state.iterations(), 1));
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_VarianceSketchAddStdDev)->Arg(10000);
 
 void BM_KdeBoxQuery1d(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));

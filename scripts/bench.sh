@@ -40,7 +40,7 @@ echo "=== bench.sh [1/5] micro_benchmarks -> ${OUT_DIR}/BENCH_micro.json ==="
 # still runs when SENSORD_QUICK=0.
 FILTER=""
 if [ "${SENSORD_QUICK}" != "0" ]; then
-  FILTER="--benchmark_filter=(BM_Obs.*|BM_ChainSampleAdd/128|BM_KdeBoxQuery1d/128|BM_KdeBoxQueryPruned2d/512|BM_KdeBoxQueryPruned3d/512|BM_MdefEvaluation2dScott(Cold|PerVersion)?/512|BM_DensityModelRebuild/(512|2048)|BM_DensityModelRebuild1d/500|BM_VarianceSketchStdDev/10000)"
+  FILTER="--benchmark_filter=(BM_Obs.*|BM_ChainSampleAdd/128|BM_KdeBoxQuery1d/128|BM_KdeBoxQueryPruned2d/512|BM_KdeBoxQueryPruned3d/512|BM_MdefEvaluation2dScott(Cold|PerVersion)?/512|BM_DensityModelRebuild/(512|2048)|BM_DensityModelRebuild1d/500|BM_VarianceSketch(Add|AddStdDev|StdDev)/10000)"
   export BENCHMARK_MIN_TIME="${BENCHMARK_MIN_TIME:-0.05}"
 fi
 build/release/bench/micro_benchmarks ${FILTER} \
@@ -105,6 +105,13 @@ if per_op.get(name) != 0:
     sys.exit(f"bench.sh: {name} allocs_per_op is {per_op.get(name)}, "
              f"not 0; a warm MDEF evaluation allocates")
 print(f"bench.sh: {name} allocs_per_op 0")
+# The variance sketch (DESIGN.md §13): once its bucket ring has reached its
+# size, Add() and the StdDev() a rebuild reads allocate nothing.
+for name in ("BM_VarianceSketchAdd/10000", "BM_VarianceSketchAddStdDev/10000"):
+    if per_op.get(name) != 0:
+        sys.exit(f"bench.sh: {name} allocs_per_op is {per_op.get(name)}, "
+                 f"not 0; a steady-state sketch update allocates")
+    print(f"bench.sh: {name} allocs_per_op 0")
 EOF
 
 echo "bench.sh: done"

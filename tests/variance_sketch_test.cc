@@ -1,11 +1,16 @@
 #include "stream/variance_sketch.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <deque>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/snapshot.h"
 #include "util/rng.h"
 
 namespace sensord {
@@ -248,6 +253,380 @@ TEST(VarianceSketchTest, TotalSeenCounts) {
   VarianceSketch s(10, 0.5);
   for (int i = 0; i < 25; ++i) s.Add(0.1 * i);
   EXPECT_EQ(s.total_seen(), 25u);
+}
+
+// ---------------------------------------------------------------------------
+// Differential and bound tests of the O(1) window aggregate.
+
+constexpr uint32_t kTestVersion = 7;
+
+struct WireBucket {
+  uint64_t first = 0;
+  uint64_t last = 0;
+  double n = 0.0;
+  double mean = 0.0;
+  double var = 0.0;
+};
+
+struct WireSketch {
+  uint64_t window = 0;
+  double epsilon = 0.0;
+  uint64_t now = 0;
+  uint64_t since_scan = 0;
+  std::vector<WireBucket> buckets;  // newest first, as on the wire
+};
+
+std::vector<uint8_t> Save(const VarianceSketch& sketch) {
+  SnapshotWriter writer;
+  sketch.Serialize(&writer);
+  return std::move(writer).Finish(kTestVersion);
+}
+
+// The live buckets, read back from the sketch's own wire format.
+WireSketch Parse(const VarianceSketch& sketch) {
+  const std::vector<uint8_t> bytes = Save(sketch);
+  auto reader = SnapshotReader::Open(bytes, kTestVersion);
+  EXPECT_TRUE(reader.ok());
+  SnapshotReader& r = reader.value();
+  WireSketch w;
+  w.window = r.TakeU64();
+  w.epsilon = r.TakeDouble();
+  w.now = r.TakeU64();
+  w.since_scan = r.TakeU64();
+  w.buckets.resize(r.TakeU32());
+  for (WireBucket& b : w.buckets) {
+    b.first = r.TakeU64();
+    b.last = r.TakeU64();
+    b.n = r.TakeDouble();
+    b.mean = r.TakeDouble();
+    b.var = r.TakeDouble();
+  }
+  EXPECT_TRUE(r.ok() && r.AtEnd());
+  return w;
+}
+
+std::vector<uint8_t> Encode(const WireSketch& w) {
+  SnapshotWriter writer;
+  writer.PutU64(w.window);
+  writer.PutDouble(w.epsilon);
+  writer.PutU64(w.now);
+  writer.PutU64(w.since_scan);
+  writer.PutU32(static_cast<uint32_t>(w.buckets.size()));
+  for (const WireBucket& b : w.buckets) {
+    writer.PutU64(b.first);
+    writer.PutU64(b.last);
+    writer.PutDouble(b.n);
+    writer.PutDouble(b.mean);
+    writer.PutDouble(b.var);
+  }
+  return std::move(writer).Finish(kTestVersion);
+}
+
+bool RestoreFrom(const std::vector<uint8_t>& bytes, VarianceSketch* sketch) {
+  auto reader = SnapshotReader::Open(bytes, kTestVersion);
+  return reader.ok() && sketch->Restore(&reader.value()) &&
+         reader.value().AtEnd();
+}
+
+struct Folded {
+  double n = 0.0;
+  double mean = 0.0;
+  double var = 0.0;
+};
+
+// The textbook pairwise rule, written independently of the sketch's own.
+Folded FoldPair(const Folded& a, const Folded& b) {
+  Folded out;
+  out.n = a.n + b.n;
+  out.mean = (a.n * a.mean + b.n * b.mean) / out.n;
+  const double delta = a.mean - b.mean;
+  out.var = a.var + b.var + (a.n * b.n / out.n) * delta * delta;
+  return out;
+}
+
+// The window statistics from scratch: every live bucket folded newest
+// first, the oldest counted as half when it is partially expired.
+Folded FoldFromScratch(const WireSketch& w) {
+  Folded acc;
+  for (size_t i = 0; i < w.buckets.size(); ++i) {
+    const WireBucket& b = w.buckets[i];
+    Folded f{b.n, b.mean, b.var};
+    const bool oldest = i + 1 == w.buckets.size();
+    if (oldest && b.first + w.window < w.now) {
+      f.n = std::max(1.0, b.n / 2.0);
+      f.var /= 2.0;
+    }
+    acc = i == 0 ? f : FoldPair(acc, f);
+  }
+  return acc;
+}
+
+uint64_t Bits(double x) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &x, sizeof(bits));
+  return bits;
+}
+
+enum class Stream { kConstant, kRamp, kRegimeShift, kDecay };
+
+// The i-th value of `kind` for `seed`. kDecay halves every reading for runs
+// of 1000: within a run no two buckets ever satisfy the merge rule at
+// eps <= 1, so a window of 10000 at eps = 1 lives at its hard cap of 160.
+double StreamValue(Stream kind, uint64_t seed, size_t i, Rng* rng) {
+  switch (kind) {
+    case Stream::kConstant:
+      return 0.1 + 0.01 * static_cast<double>(seed);
+    case Stream::kRamp:
+      return 1e-3 * static_cast<double>(seed + 1) * static_cast<double>(i);
+    case Stream::kRegimeShift: {
+      const size_t regime = (i / (97 + 13 * seed)) % 3;
+      const double level = regime == 0 ? 0.2 : regime == 1 ? 0.7 : 0.4;
+      const double spread = regime == 0 ? 0.01 : regime == 1 ? 0.1 : 0.03;
+      return rng->Gaussian(level, spread);
+    }
+    case Stream::kDecay:
+      return std::ldexp(1.0 + 1e-3 * static_cast<double>(seed),
+                        -static_cast<int>(i % 1000));
+  }
+  return 0.0;
+}
+
+bool Near(double got, double want, double scale) {
+  return std::fabs(got - want) <= 1e-12 * std::max(std::fabs(want), scale);
+}
+
+using DifferentialCase = std::tuple<size_t, double>;
+
+class VarianceSketchDifferentialTest
+    : public ::testing::TestWithParam<DifferentialCase> {};
+
+// At every Add(), the O(1) Variance() and Mean() agree with a from-scratch
+// fold over the same live buckets to 1e-12 relative (a floor of 1e-12 of
+// the squared mean absorbs the last-bit noise of a constant stream's
+// means). Every 97 steps the sketch is saved and replaced by a restored
+// copy, which must then track a twin that was never restored bit for bit.
+// The small windows run 50 seeds. Window 10000, where a sketch holds up to
+// 10000 buckets, runs 5 seeds and checks every Add() over its first 600
+// (the decay stream's hard-cap phase included) and its last 50, and every
+// 97th in between, so that the O(buckets) reference stays affordable in
+// the unoptimised sanitizer build.
+TEST_P(VarianceSketchDifferentialTest, AggregateMatchesFoldAndRestores) {
+  const auto [window, eps] = GetParam();
+  const bool big = window >= 10000;
+  const size_t steps = big ? window + 600 : 4 * window + 300;
+  size_t checks = 0;
+  bool hit_cap = false;
+  for (Stream kind : {Stream::kConstant, Stream::kRamp, Stream::kRegimeShift,
+                      Stream::kDecay}) {
+    for (uint64_t seed = 0; seed < (big ? 5u : 50u); ++seed) {
+      VarianceSketch sketch(window, eps);
+      VarianceSketch twin(window, eps);
+      Rng rng(0xD1FF + seed);
+      for (size_t i = 0; i < steps; ++i) {
+        const double x = StreamValue(kind, seed, i, &rng);
+        sketch.Add(x);
+        twin.Add(x);
+        ASSERT_LE(sketch.NumBuckets(), sketch.TheoreticalBoundBuckets());
+        hit_cap |= sketch.NumBuckets() == sketch.TheoreticalBoundBuckets();
+        if (i % 97 == 96) {
+          VarianceSketch restored(window, eps);
+          ASSERT_TRUE(RestoreFrom(Save(sketch), &restored));
+          sketch = restored;
+        }
+        ASSERT_EQ(Bits(sketch.Variance()), Bits(twin.Variance()))
+            << "restored sketch diverged at step " << i;
+        ASSERT_EQ(Bits(sketch.Mean()), Bits(twin.Mean()));
+        if (big && i >= 600 && i + 50 < steps && i % 97 != 0) continue;
+        const WireSketch wire = Parse(sketch);
+        ASSERT_EQ(wire.buckets.size(), sketch.NumBuckets());
+        const Folded ref = FoldFromScratch(wire);
+        const double var = ref.n > 0 ? ref.var / ref.n : 0.0;
+        const double floor = 1e-12 * ref.mean * ref.mean;
+        ASSERT_TRUE(Near(sketch.Variance(), var, floor))
+            << "step " << i << " seed " << seed << ": " << sketch.Variance()
+            << " vs fold " << var;
+        ASSERT_TRUE(Near(sketch.Mean(), ref.mean, 1e-300))
+            << "step " << i << " seed " << seed << ": " << sketch.Mean()
+            << " vs fold " << ref.mean;
+        ASSERT_EQ(sketch.Count(), ref.n);
+        ++checks;
+      }
+    }
+  }
+  EXPECT_GT(checks, 0u);
+  // The decay stream keeps every bucket apart at eps = 1 once the window
+  // holds more buckets than the cap allows.
+  if (eps == 1.0 && window >= 10000) {
+    EXPECT_TRUE(hit_cap);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, VarianceSketchDifferentialTest,
+    ::testing::Combine(::testing::Values<size_t>(1, 2, 7, 64, 10000),
+                       ::testing::Values(0.05, 0.2, 1.0)));
+
+// The ROADMAP resource bound for the sketch: bucket storage, the
+// per-bucket front aggregates included, never exceeds
+// min(|W|, TheoreticalBoundBuckets()) slots nor one growth step (an eighth)
+// above the most buckets held so far, and once a wide window has slid a
+// few times over a stationary stream it stops growing. (A small window's
+// bucket count swings too widely for the last: its rare new peaks still
+// grow the ring, within the first two bounds.)
+TEST(VarianceSketchTest, StorageBoundedAndFlatInSteadyState) {
+  for (size_t window : {64u, 1000u, 10000u}) {
+    for (double eps : {0.05, 0.2, 1.0}) {
+      for (uint64_t seed = 0; seed < 5; ++seed) {
+        VarianceSketch s(window, eps);
+        EXPECT_EQ(s.CapacityBuckets(), 0u) << "the constructor allocates";
+        Rng rng(0x57 + seed);
+        size_t settled = 0;
+        size_t peak = 0;
+        for (size_t i = 0; i < 8 * window; ++i) {
+          s.Add(rng.Gaussian(0.4, 0.05));
+          peak = std::max(peak, s.NumBuckets());
+          ASSERT_LE(s.CapacityBuckets(),
+                    std::min(window, s.TheoreticalBoundBuckets()));
+          ASSERT_LE(s.CapacityBuckets(),
+                    std::max<size_t>(16, peak + peak / 8));
+          if (i + 1 == 4 * window) settled = s.CapacityBuckets();
+        }
+        if (window >= 1000) {
+          EXPECT_EQ(s.CapacityBuckets(), settled)
+              << "W=" << window << " eps=" << eps << " seed " << seed;
+        }
+        EXPECT_EQ(s.MemoryBytes(2), (5 * s.NumBuckets() + 5) * 2);
+      }
+    }
+  }
+}
+
+// Restore() accepts only states Add() can reach, and a rejected payload
+// leaves the sketch as it was.
+TEST(VarianceSketchTest, RestoreRejectsUnreachableStates) {
+  VarianceSketch source(64, 1.0);
+  Rng rng(12);
+  for (int i = 0; i < 300; ++i) source.Add(rng.Gaussian(0.4, 0.05));
+  const WireSketch good = Parse(source);
+  ASSERT_GE(good.buckets.size(), 3u);
+  ASSERT_LT(good.buckets.size(), good.window);
+  ASSERT_GT(good.since_scan, 0u);
+
+  VarianceSketch target(64, 1.0);
+  for (int i = 0; i < 100; ++i) target.Add(rng.UniformDouble());
+  const uint64_t variance_bits = Bits(target.Variance());
+  const uint64_t seen = target.total_seen();
+
+  const auto expect_rejected = [&](const WireSketch& bad, const char* what) {
+    EXPECT_FALSE(RestoreFrom(Encode(bad), &target)) << what;
+    EXPECT_EQ(Bits(target.Variance()), variance_bits) << what;
+    EXPECT_EQ(target.total_seen(), seen) << what;
+  };
+
+  // Too many buckets: beyond TheoreticalBoundBuckets() (160 at |W| =
+  // 10000, eps = 1), and beyond |W| (64 < TheoreticalBoundBuckets()).
+  {
+    VarianceSketch wide(10000, 1.0);
+    WireSketch bad;
+    bad.window = 10000;
+    bad.epsilon = 1.0;
+    bad.now = 1000;
+    const uint64_t oldest = bad.now - 1 - wide.TheoreticalBoundBuckets();
+    for (uint64_t t = bad.now; t-- > oldest;) {
+      bad.buckets.push_back(WireBucket{t, t, 1.0, 0.5, 0.0});
+    }
+    EXPECT_FALSE(RestoreFrom(Encode(bad), &wide));
+    bad.buckets.pop_back();
+    EXPECT_TRUE(RestoreFrom(Encode(bad), &wide)) << "exactly at the bound";
+  }
+  {
+    WireSketch bad = good;
+    bad.now = 1000;
+    bad.since_scan = 0;
+    bad.buckets.clear();
+    for (uint64_t t = bad.now; t-- > bad.now - 65;) {
+      bad.buckets.push_back(WireBucket{t, t, 1.0, 0.5, 0.0});
+    }
+    expect_rejected(bad, "65 buckets for |W| = 64");
+  }
+  {
+    WireSketch bad = good;
+    bad.buckets[1].n = 0.0;
+    expect_rejected(bad, "n < 1");
+  }
+  {
+    WireSketch bad = good;
+    bad.buckets[1].n += 1.0;
+    expect_rejected(bad, "n != last - first + 1");
+  }
+  {
+    WireSketch bad = good;
+    std::swap(bad.buckets[1].first, bad.buckets[1].last);
+    bad.buckets[1].n = 1.0;
+    if (bad.buckets[1].first == bad.buckets[1].last) ++bad.buckets[1].first;
+    expect_rejected(bad, "first > last");
+  }
+  {
+    WireSketch bad = good;
+    std::swap(bad.buckets[1], bad.buckets[2]);
+    expect_rejected(bad, "arrival indices that do not increase");
+  }
+  {
+    WireSketch bad = good;
+    bad.buckets.erase(bad.buckets.begin() + 1);
+    bad.since_scan = 1;
+    expect_rejected(bad, "a gap between the arrival indices of two buckets");
+  }
+  {
+    WireSketch bad = good;
+    bad.buckets[0].last = bad.now;
+    bad.buckets[0].n += 1.0;
+    expect_rejected(bad, "last >= now");
+  }
+  {
+    WireSketch bad = good;
+    const uint64_t before = bad.buckets.back().first - 1;
+    bad.buckets.push_back(WireBucket{before, before, 1.0, 0.5, 0.0});
+    ASSERT_GT(bad.now - before, bad.window);
+    expect_rejected(bad, "an oldest bucket that has already expired");
+  }
+  {
+    WireSketch bad = good;
+    bad.since_scan = bad.buckets.size();
+    expect_rejected(bad, "as many insertions since the scan as buckets");
+  }
+  {
+    WireSketch bad = good;
+    bad.buckets.clear();
+    bad.since_scan = 0;
+    expect_rejected(bad, "no buckets after an Add()");
+  }
+
+  // The untouched payload restores and continues bit-identically.
+  ASSERT_TRUE(RestoreFrom(Encode(good), &target));
+  EXPECT_EQ(Bits(target.Variance()), Bits(source.Variance()));
+  for (int i = 0; i < 200; ++i) {
+    const double x = rng.Gaussian(0.4, 0.05);
+    source.Add(x);
+    target.Add(x);
+    ASSERT_EQ(Bits(target.Variance()), Bits(source.Variance()));
+  }
+}
+
+TEST(VarianceSketchTest, DecayStreamStaysAtHardCap) {
+  // The hard cap of a wide window at eps = 1 is small enough for the decay
+  // stream to reach; the sketch must then stay there without losing track
+  // of the window.
+  VarianceSketch s(10000, 1.0);
+  Rng unused(0);
+  size_t at_cap = 0;
+  for (size_t i = 0; i < 20000; ++i) {
+    s.Add(StreamValue(Stream::kDecay, 0, i, &unused));
+    ASSERT_LE(s.NumBuckets(), s.TheoreticalBoundBuckets());
+    at_cap += s.NumBuckets() == s.TheoreticalBoundBuckets();
+  }
+  EXPECT_GT(at_cap, 1000u);
+  EXPECT_NEAR(s.Count(), 10000.0, 0.5 * 10000.0);
 }
 
 }  // namespace
