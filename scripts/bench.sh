@@ -40,7 +40,7 @@ echo "=== bench.sh [1/5] micro_benchmarks -> ${OUT_DIR}/BENCH_micro.json ==="
 # still runs when SENSORD_QUICK=0.
 FILTER=""
 if [ "${SENSORD_QUICK}" != "0" ]; then
-  FILTER="--benchmark_filter=(BM_Obs.*|BM_ChainSampleAdd/128|BM_KdeBoxQuery1d/128|BM_KdeBoxQueryPruned2d/512|BM_KdeBoxQueryPruned3d/512|BM_MdefEvaluation2dScott(Cold|PerVersion)?/512|BM_DensityModelRebuild/(512|2048)|BM_DensityModelRebuild1d/500|BM_VarianceSketch(Add|AddStdDev|StdDev)/10000)"
+  FILTER="--benchmark_filter=(BM_Obs.*|BM_ChainSampleAdd/128|BM_KdeBoxQuery1d/500|BM_KdeBoxQueryPruned2d/512|BM_KdeBoxQueryPruned3d/512|BM_MdefEvaluation2dScott(Cold|PerVersion)?/512|BM_DensityModelRebuild/(512|2048)|BM_DensityModelRebuild1d/500|BM_VarianceSketch(Add|AddStdDev|StdDev)/10000)"
   export BENCHMARK_MIN_TIME="${BENCHMARK_MIN_TIME:-0.05}"
 fi
 build/release/bench/micro_benchmarks ${FILTER} \
@@ -89,6 +89,14 @@ if small is None or large is None or small != large:
     sys.exit(f"bench.sh: allocs_per_rebuild differs across |R| "
              f"(/512: {small}, /2048: {large}); rebuilds allocate per point")
 print(f"bench.sh: allocs_per_rebuild {small:g} at |R| = 512 and 2048")
+# A warm 1-d rebuild allocates its spreads, bandwidth and kernel vectors and
+# nothing else: the block power sums (DESIGN.md §13) travel with the
+# recycled sample buffer. A fourth allocation is an unrecycled buffer.
+name = "BM_DensityModelRebuild1d/500"
+if allocs.get(name) != 3:
+    sys.exit(f"bench.sh: {name} allocs_per_rebuild is {allocs.get(name)}, "
+             f"not 3; a 1-d rebuild allocates a buffer it should recycle")
+print(f"bench.sh: {name} allocs_per_rebuild 3")
 # The "off costs nothing" contract (obs/trace.h, obs/flight_recorder.h):
 # disabled instrumentation allocates nothing per event.
 per_op = {b["name"]: b.get("allocs_per_op")
@@ -98,6 +106,13 @@ for name in ("BM_ObsDisabledTraceSpan", "BM_ObsDisabledFlightRecorder"):
         sys.exit(f"bench.sh: {name} allocs_per_op is {per_op.get(name)}, "
                  f"not 0; disabled instrumentation allocates")
     print(f"bench.sh: {name} allocs_per_op 0")
+# The closed-form 1-d interval mass (DESIGN.md §13): a query allocates
+# nothing.
+name = "BM_KdeBoxQuery1d/500"
+if per_op.get(name) != 0:
+    sys.exit(f"bench.sh: {name} allocs_per_op is {per_op.get(name)}, "
+             f"not 0; a 1-d KDE query allocates")
+print(f"bench.sh: {name} allocs_per_op 0")
 # The MDEF cell memo (DESIGN.md §13): an evaluation whose cells are all
 # memoised allocates nothing.
 name = "BM_MdefEvaluation2dScott/512"

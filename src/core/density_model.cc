@@ -129,15 +129,15 @@ const KernelDensityEstimator& DensityModel::Estimator() const {
     // vectors (spreads, bandwidths, kernels) are allocated per rebuild.
     const bool maintained = !canonical_.empty();
     size_t axis = 0;
-    FlatPoints storage;
+    KernelDensityEstimator::SampleStorage storage;
     if (cached_.has_value()) {
       axis = cached_->primary_axis();
       storage = std::move(*cached_).ReleaseSampleStorage();
     }
     if (maintained) {
-      storage = canonical_;
+      storage.sample = canonical_;
     } else {
-      sample_.SnapshotTo(&storage);
+      sample_.SnapshotTo(&storage.sample);
     }
     auto built = KernelDensityEstimator::CreateWithScottBandwidths(
         std::move(storage), BandwidthSpreads());

@@ -129,7 +129,7 @@ MdefResult ComputeMdef(const DistributionEstimator& model, const Point& p,
 MdefResult ComputeMdef(const KernelDensityEstimator& kde, const Point& p,
                        const MdefConfig& config) {
   CheckMdefArguments(kde, p, config);
-  // The generic path already runs in O(log|R| + |R'|) per cell in 1-d.
+  // The generic path's 1-d cell masses already come in closed form.
   if (kde.dimensions() == 1) return ScanMdef(kde, p, config);
 
   const std::span<const double> cell_mass = kde.GridCellMasses(

@@ -258,14 +258,15 @@ const KernelDensityEstimator& MgddLeafNode::GlobalEstimator() const {
   if (!cached_global_.has_value() || cached_version_ != replica_version_) {
     // The zero per-point-allocation rebuild of DensityModel::Estimator():
     // the valid slots go straight into the warm scratch buffer, and the
-    // displaced estimator's buffer becomes the next rebuild's scratch.
+    // displaced estimator's buffers become the next rebuild's scratch.
     const size_t d = global_stddevs_.size();
-    replica_scratch_.Reset(d);
-    replica_scratch_.Reserve(global_sample_.size());
+    FlatPoints& rows = replica_scratch_.sample;
+    rows.Reset(d);
+    rows.Reserve(global_sample_.size());
     for (size_t i = 0; i < global_sample_.size(); ++i) {
       if (!slot_valid_[i]) continue;
       SENSORD_CHECK_EQ(global_sample_[i].size(), d);
-      replica_scratch_.Append(global_sample_[i]);
+      rows.Append(global_sample_[i]);
     }
     auto built = KernelDensityEstimator::CreateWithScottBandwidths(
         std::move(replica_scratch_), global_stddevs_);

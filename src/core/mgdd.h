@@ -41,7 +41,6 @@
 #include "net/network.h"
 #include "net/node.h"
 #include "stats/kde.h"
-#include "util/flat_points.h"
 #include "util/rng.h"
 
 namespace sensord {
@@ -150,7 +149,8 @@ class MgddLeafNode : public Node {
 
   mutable std::optional<KernelDensityEstimator> cached_global_;
   mutable uint64_t cached_version_ = 0;
-  mutable FlatPoints replica_scratch_;  // GlobalEstimator()'s rebuild buffer
+  // GlobalEstimator()'s rebuild buffers.
+  mutable KernelDensityEstimator::SampleStorage replica_scratch_;
 };
 
 /// A leader node running MGDD's BlackProcess: relays sample values upward

@@ -16,9 +16,10 @@ namespace sensord {
 namespace {
 
 // Per-query cost telemetry: the paper's O(d|R|) box-query bound — and the
-// O(log|R| + |R'|) pruned paths — made observable as the number of kernel
-// terms actually evaluated per query. terms_per_query records, for every
-// box (batched or not), the primary-axis candidate count |R'|;
+// pruned paths — made observable as the kernels each query touches.
+// terms_per_query records, for every box (batched or not), the
+// primary-axis candidate count |R'| (in 1-d the kernels touching the
+// interval, which the closed form covers with about 2|R'|/16 block sums);
 // batch_swept_terms counts the rows a batched sweep actually loads (the
 // union candidate range), which is what the batching saves on top of
 // per-box pruning. Each memoised GridCellMasses() call is either a
@@ -60,6 +61,74 @@ size_t FirstRowWhere(const FlatPoints& sample, size_t axis, Pred pred) {
   return lo;
 }
 
+// The first value in the sorted run [first, last) for which `before` is
+// false (it must be true, then false), as std::partition_point finds it but
+// without a data-dependent branch: ⌈log2 n⌉ halvings, each a conditional
+// move, so a 1-d query's searches mispredict nothing.
+template <typename Before>
+const double* PartitionPoint(const double* first, const double* last,
+                             Before before) {
+  size_t n = static_cast<size_t>(last - first);
+  if (n == 0) return first;
+  while (n > 1) {
+    const size_t half = n / 2;
+    first = before(first[half]) ? first + half : first;
+    n -= half;
+  }
+  return first + (before(*first) ? 1 : 0);
+}
+
+// Rows per block of the 1-d power sums: a block's four sums replace 16 row
+// terms, and the rows of a query piece outside its whole blocks — fewer
+// than 16 at each end — are summed directly (DESIGN.md §13).
+constexpr size_t kBlockRows = 16;
+
+// Σ (x − t)^k for k = 1, 2, 3 over a run of sorted rows t.
+struct OffsetPowers {
+  double p1 = 0.0;
+  double p2 = 0.0;
+  double p3 = 0.0;
+};
+
+// OffsetPowers over rows [begin, end) of the sorted 1-d sample `t`, every
+// one of which must lie within a bandwidth of x. A block wholly inside the
+// run re-centres its sums at x: with y = x − c, Σ(x − t)^k = Σ(y − s)^k
+// expands into its power sums Σs^j. Both |y| and |s| are at most the
+// bandwidth, so no term of the expansion is larger than the result's scale
+// (DESIGN.md §13). The rows at either end outside whole blocks are summed
+// directly.
+inline OffsetPowers SumOffsetPowers(const double* t,
+                                    const std::vector<double>& block_sums,
+                                    double x, size_t begin, size_t end) {
+  OffsetPowers sum;
+  auto add_rows = [t, x, &sum](size_t from, size_t to) {
+    for (size_t i = from; i < to; ++i) {
+      const double dx = x - t[i];
+      const double dx2 = dx * dx;
+      sum.p1 += dx;
+      sum.p2 += dx2;
+      sum.p3 += dx2 * dx;
+    }
+  };
+  const size_t first_block = (begin + kBlockRows - 1) / kBlockRows;
+  const size_t end_block = end / kBlockRows;
+  if (first_block >= end_block) {
+    add_rows(begin, end);
+    return sum;
+  }
+  add_rows(begin, first_block * kBlockRows);
+  constexpr double k = static_cast<double>(kBlockRows);
+  for (size_t block = first_block; block < end_block; ++block) {
+    const double* b = block_sums.data() + 4 * block;
+    const double y = x - b[0];
+    sum.p1 += k * y - b[1];
+    sum.p2 += (k * y - 2.0 * b[1]) * y + b[2];
+    sum.p3 += ((k * y - 3.0 * b[1]) * y + 3.0 * b[2]) * y - b[3];
+  }
+  add_rows(end_block * kBlockRows, end);
+  return sum;
+}
+
 // Calls visit(offset) for every cell first[i] ..= last[i] of a grid in
 // row-major order (last axis fastest), offset = sum_i pos[i] * stride[i];
 // `pos` holds the visited cell's indices.
@@ -84,7 +153,8 @@ void ForEachCell(size_t d, const size_t* first, const size_t* last,
 }  // namespace
 
 StatusOr<KernelDensityEstimator> KernelDensityEstimator::Create(
-    FlatPoints sample, std::vector<double> bandwidths) {
+    SampleStorage storage, std::vector<double> bandwidths) {
+  const FlatPoints& sample = storage.sample;
   if (sample.empty()) {
     return Status::InvalidArgument("KDE requires a non-empty sample");
   }
@@ -100,7 +170,7 @@ StatusOr<KernelDensityEstimator> KernelDensityEstimator::Create(
       return Status::InvalidArgument("bandwidths must be positive");
     }
   }
-  return KernelDensityEstimator(std::move(sample), std::move(bandwidths));
+  return KernelDensityEstimator(std::move(storage), std::move(bandwidths));
 }
 
 StatusOr<KernelDensityEstimator> KernelDensityEstimator::Create(
@@ -116,12 +186,12 @@ StatusOr<KernelDensityEstimator> KernelDensityEstimator::Create(
 
 StatusOr<KernelDensityEstimator>
 KernelDensityEstimator::CreateWithScottBandwidths(
-    FlatPoints sample, const std::vector<double>& stddevs) {
-  if (sample.empty()) {
+    SampleStorage storage, const std::vector<double>& stddevs) {
+  if (storage.sample.empty()) {
     return Status::InvalidArgument("KDE requires a non-empty sample");
   }
-  const size_t n = sample.size();
-  return Create(std::move(sample), ScottBandwidths(stddevs, n));
+  const size_t n = storage.sample.size();
+  return Create(std::move(storage), ScottBandwidths(stddevs, n));
 }
 
 StatusOr<KernelDensityEstimator>
@@ -133,9 +203,11 @@ KernelDensityEstimator::CreateWithScottBandwidths(
   return Create(sample, ScottBandwidths(stddevs, sample.size()));
 }
 
-KernelDensityEstimator::KernelDensityEstimator(FlatPoints sample,
+KernelDensityEstimator::KernelDensityEstimator(SampleStorage storage,
                                                std::vector<double> bandwidths)
-    : sample_(std::move(sample)), sample_size_(sample_.size()) {
+    : sample_(std::move(storage.sample)),
+      block_sums_(std::move(storage.block_sums)),
+      sample_size_(sample_.size()) {
   kernels_.reserve(bandwidths.size());
   for (double b : bandwidths) kernels_.emplace_back(b);
   Canonicalize();
@@ -143,25 +215,39 @@ KernelDensityEstimator::KernelDensityEstimator(FlatPoints sample,
 
 void KernelDensityEstimator::Canonicalize() {
   const size_t d = kernels_.size();
+  if (d == 1) {
+    // A sample handed over sorted — a DensityModel's maintained buffer —
+    // needs no sort, and its block sums come out of the order check's pass.
+    if (SumBlocksIfSorted()) return;
+    // The flat buffer *is* the sorted coordinate array the 1-d fast path
+    // binary-searches. Equal finite doubles are bit-identical except for
+    // ±0.0, so a plain sort that then puts the zero run's -0.0s first
+    // yields the canonical order, cheaper than sorting under CanonicalLess.
+    std::vector<double>& coords = *sample_.mutable_data();
+    std::sort(coords.begin(), coords.end());
+    const auto zeros = std::equal_range(coords.begin(), coords.end(), 0.0);
+    std::partition(zeros.first, zeros.second,
+                   [](double z) { return std::signbit(z); });
+    SumBlocksIfSorted();
+    return;
+  }
+  block_sums_.clear();
   // Primary axis: the axis where a sorted-order window [lo - B, hi + B]
   // prunes best, i.e. with the largest spread/bandwidth ratio. Ties go to
   // the smallest axis index (strict > below), so the choice — and with it
   // the canonical order and every downstream artifact — is deterministic.
-  // Always axis 0 in 1-d.
-  if (d > 1) {
-    double best_ratio = -1.0;
-    for (size_t i = 0; i < d; ++i) {
-      double lo = sample_.At(0, i), hi = lo;
-      for (size_t row = 1; row < sample_size_; ++row) {
-        const double v = sample_.At(row, i);
-        lo = std::min(lo, v);
-        hi = std::max(hi, v);
-      }
-      const double ratio = (hi - lo) / kernels_[i].bandwidth();
-      if (ratio > best_ratio) {
-        best_ratio = ratio;
-        primary_axis_ = i;
-      }
+  double best_ratio = -1.0;
+  for (size_t i = 0; i < d; ++i) {
+    double lo = sample_.At(0, i), hi = lo;
+    for (size_t row = 1; row < sample_size_; ++row) {
+      const double v = sample_.At(row, i);
+      lo = std::min(lo, v);
+      hi = std::max(hi, v);
+    }
+    const double ratio = (hi - lo) / kernels_[i].bandwidth();
+    if (ratio > best_ratio) {
+      best_ratio = ratio;
+      primary_axis_ = i;
     }
   }
   const size_t axis = primary_axis_;
@@ -173,24 +259,40 @@ void KernelDensityEstimator::Canonicalize() {
         !CanonicalLess(sample_.Row(row), sample_.Row(row - 1), d, axis);
   }
   if (canonical) return;
-  if (d == 1) {
-    // The flat buffer *is* the sorted coordinate array the 1-d fast path
-    // binary-searches. Equal finite doubles are bit-identical except for
-    // ±0.0, so a plain sort that then puts the zero run's -0.0s first
-    // yields the canonical order, cheaper than sorting under CanonicalLess.
-    std::vector<double>& coords = *sample_.mutable_data();
-    std::sort(coords.begin(), coords.end());
-    const auto zeros = std::equal_range(coords.begin(), coords.end(), 0.0);
-    std::partition(zeros.first, zeros.second,
-                   [](double z) { return std::signbit(z); });
-    return;
-  }
   // CanonicalLess is a total order on the rows' bit patterns, so the
   // unstable in-place heapsort still yields the one canonical buffer.
   const FlatPoints& s = sample_;
   sample_.SortRows([&s, axis, d](size_t a, size_t b) {
     return CanonicalLess(s.Row(a), s.Row(b), d, axis);
   });
+}
+
+bool KernelDensityEstimator::SumBlocksIfSorted() {
+  const double* t = sample_.data().data();
+  const size_t n = sample_size_;
+  block_sums_.resize(4 * (n / kBlockRows));
+  double* block = block_sums_.data();
+  size_t row = 0;
+  for (; row + kBlockRows <= n; row += kBlockRows, block += 4) {
+    // The block's midrange, so every s = t − c is at most half its span.
+    const double centre = 0.5 * t[row] + 0.5 * t[row + kBlockRows - 1];
+    double s1 = 0.0, s2 = 0.0, s3 = 0.0;
+    for (size_t i = row; i < row + kBlockRows; ++i) {
+      if (i > 0 && CanonicalLess(t + i, t + i - 1, 1, 0)) return false;
+      const double s = t[i] - centre;
+      s1 += s;
+      s2 += s * s;
+      s3 += s * s * s;
+    }
+    block[0] = centre;
+    block[1] = s1;
+    block[2] = s2;
+    block[3] = s3;
+  }
+  for (row = std::max<size_t>(row, 1); row < n; ++row) {
+    if (CanonicalLess(t + row, t + row - 1, 1, 0)) return false;
+  }
+  return true;
 }
 
 std::vector<double> KernelDensityEstimator::bandwidths() const {
@@ -214,37 +316,64 @@ std::pair<size_t, size_t> KernelDensityEstimator::CandidateRows(
 
 double KernelDensityEstimator::Interval1dProbability(double lo,
                                                      double hi) const {
-  const EpanechnikovKernel& kernel = kernels_[0];
-  const double b = kernel.bandwidth();
-  const std::vector<double>& sorted = sample_.data();
-  // Kernels centred in [lo - B, hi + B] may contribute; kernels centred in
-  // [lo + B, hi - B] have their full support inside the interval and
-  // contribute exactly 1 each.
-  const auto touch_begin =
-      std::lower_bound(sorted.begin(), sorted.end(), lo - b);
-  const auto touch_end =
-      std::upper_bound(sorted.begin(), sorted.end(), hi + b);
+  // Σ over the kernels of F(u_hi) − F(u_lo), u = (x − t)/B, with
+  // F(u) = (3/4)u − (1/4)u³ on [−1, 1] and ±1/2 beyond. Four breakpoints
+  // split the sorted sample: rows in [lo − B, lo + B] take −F(u_lo) and rows
+  // in [hi − B, hi + B] take F(u_hi), as cubics; rows in [lo − B, hi − B)
+  // have F(u_hi) = 1/2 and rows in (lo + B, hi + B] have −F(u_lo) = 1/2;
+  // every other row adds 1/2 − 1/2 = 0. The two cubic pieces come from
+  // SumOffsetPowers, so their cost grows by |R'|/kBlockRows, not |R'|.
+  const double b = kernels_[0].bandwidth();
+  const double inv_b = kernels_[0].inv_bandwidth();
+  const double* t = sample_.data().data();
+  const double* const rows_end = t + sample_size_;
+  const double lo_minus = lo - b, lo_plus = lo + b;
+  const double hi_minus = hi - b, hi_plus = hi + b;
+  // touch_begin .. lo_end is [lo − B, lo + B], hi_begin .. touch_end is
+  // [hi − B, hi + B].
+  const double* touch_begin = PartitionPoint(
+      t, rows_end, [lo_minus](double v) { return v < lo_minus; });
+  const double* lo_end = PartitionPoint(
+      touch_begin, rows_end, [lo_plus](double v) { return v <= lo_plus; });
+  const double* hi_begin = PartitionPoint(
+      touch_begin, rows_end, [hi_minus](double v) { return v < hi_minus; });
+  const double* touch_end =
+      PartitionPoint(std::max(lo_end, hi_begin), rows_end,
+                     [hi_plus](double v) { return v <= hi_plus; });
   Metrics().terms_per_query->Record(
       static_cast<double>(touch_end - touch_begin));
 
-  double mass = 0.0;
-  auto partial_until = touch_end;
-  auto partial_resume = touch_end;
-  if (lo + b <= hi - b) {
-    const auto full_begin =
-        std::lower_bound(touch_begin, touch_end, lo + b);
-    const auto full_end = std::upper_bound(full_begin, touch_end, hi - b);
-    mass += static_cast<double>(full_end - full_begin);
-    partial_until = full_begin;
-    partial_resume = full_end;
-  }
-  for (auto it = touch_begin; it != partial_until; ++it) {
-    mass += kernel.MassInInterval(*it, lo, hi);
-  }
-  for (auto it = partial_resume; it != touch_end; ++it) {
-    mass += kernel.MassInInterval(*it, lo, hi);
-  }
-  return mass / static_cast<double>(sample_size_);
+  const OffsetPowers at_lo = SumOffsetPowers(
+      t, block_sums_, lo, static_cast<size_t>(touch_begin - t),
+      static_cast<size_t>(lo_end - t));
+  const OffsetPowers at_hi = SumOffsetPowers(
+      t, block_sums_, hi, static_cast<size_t>(hi_begin - t),
+      static_cast<size_t>(touch_end - t));
+  const double halves =
+      static_cast<double>((hi_begin - touch_begin) + (touch_end - lo_end));
+  const double mass = 0.5 * halves + 0.75 * inv_b * (at_hi.p1 - at_lo.p1) -
+                      0.25 * inv_b * inv_b * inv_b * (at_hi.p3 - at_lo.p3);
+  // Rounding may leave a mass of exactly zero a hair below it.
+  return std::max(mass, 0.0) / static_cast<double>(sample_size_);
+}
+
+double KernelDensityEstimator::Pdf1d(double x) const {
+  // Σ over the rows with |x − t| < B of (3/(4B))(1 − u²), u = (x − t)/B.
+  const double b = kernels_[0].bandwidth();
+  const double inv_b = kernels_[0].inv_bandwidth();
+  const double* t = sample_.data().data();
+  const double* const rows_end = t + sample_size_;
+  const double x_minus = x - b, x_plus = x + b;
+  const double* begin = PartitionPoint(
+      t, rows_end, [x_minus](double v) { return v <= x_minus; });
+  const double* end = PartitionPoint(
+      begin, rows_end, [x_plus](double v) { return v < x_plus; });
+  const OffsetPowers sum =
+      SumOffsetPowers(t, block_sums_, x, static_cast<size_t>(begin - t),
+                      static_cast<size_t>(end - t));
+  const double rows = static_cast<double>(end - begin);
+  const double density = 0.75 * inv_b * (rows - sum.p2 * inv_b * inv_b);
+  return std::max(density, 0.0) / static_cast<double>(sample_size_);
 }
 
 template <typename Lo, typename Hi>
@@ -299,8 +428,8 @@ void KernelDensityEstimator::BoxProbabilityBatch(
     return;
   }
   if (dimensions() == 1) {
-    // The sorted 1-d path only touches kernels intersecting each query;
-    // batching could not reduce that further.
+    // The 1-d closed form reads block sums, not kernels; one union sweep
+    // has nothing to share between queries.
     out->resize(queries);
     for (size_t q = 0; q < queries; ++q) {
       (*out)[q] = BoxProbability(lo[q], hi[q]);
@@ -373,18 +502,7 @@ void KernelDensityEstimator::BoxProbabilityBatch(
 
 double KernelDensityEstimator::Pdf(const Point& p) const {
   SENSORD_DCHECK_EQ(p.size(), dimensions());
-  if (dimensions() == 1) {
-    const std::vector<double>& sorted = sample_.data();
-    const double b = kernels_[0].bandwidth();
-    const auto begin =
-        std::lower_bound(sorted.begin(), sorted.end(), p[0] - b);
-    const auto end = std::upper_bound(sorted.begin(), sorted.end(), p[0] + b);
-    double total = 0.0;
-    for (auto it = begin; it != end; ++it) {
-      total += kernels_[0].Value(p[0] - *it);
-    }
-    return total / static_cast<double>(sample_size_);
-  }
+  if (dimensions() == 1) return Pdf1d(p[0]);
   // d > 1: rows outside the primary-axis support window have a zero kernel
   // factor on that axis, so the candidate restriction is bit-identical to
   // the full canonical-order sweep (same argument as BoxProbability).
@@ -637,6 +755,12 @@ StatusOr<KernelDensityEstimator> KernelDensityEstimator::Deserialize(
     SnapshotReader* reader) {
   std::vector<double> bandwidths = reader->TakeDoubles();
   const uint32_t n = reader->TakeU32();
+  // Each row is a u32 dimension prefix plus d doubles. A count the payload
+  // cannot hold is rejected before it sizes an allocation.
+  const size_t row_bytes = 4 + 8 * bandwidths.size();
+  if (!reader->ok() || n > reader->remaining() / row_bytes) {
+    return Status::InvalidArgument("KDE snapshot truncated");
+  }
   FlatPoints sample(bandwidths.size());
   sample.Reserve(n);
   for (uint32_t i = 0; i < n; ++i) {

@@ -7,18 +7,22 @@
 //   f(x) = (1/|R|) sum_{t in R} prod_i k_{B_i}(x_i - t_i),
 // and, because the Epanechnikov profile integrates in closed form, the box
 // mass P[lo, hi] is an exact O(d|R|) sum (Theorem 2). In one dimension the
-// sample is kept sorted and a query only touches the kernels whose support
-// intersects the query interval: O(log|R| + |R'|), the paper's refinement.
+// antiderivative of every kernel is one cubic, so the mass the sorted
+// kernels put on an interval is a cubic in its ends whose coefficients are
+// power sums of the kernel centres: a query takes four binary searches plus
+// O(|R'|/16 + 16) block sums and rows (DESIGN.md §13, "Closed-form 1-d
+// interval mass"), |R'| being the kernels that touch the interval.
 //
-// This class generalizes that refinement to d > 1 (DESIGN.md §13). The
-// sample lives in a flat row-major buffer (util/flat_points.h) held in a
-// *canonical order* (CanonicalLess): sorted by a primary axis a — the axis
-// with the largest spread/bandwidth ratio, i.e. the axis where sorting
-// prunes best — with ties broken lexicographically over all coordinates and
-// then by the sign of zero. BoxProbability, BoxProbabilityBatch and Pdf
-// binary-search the candidate row range [lo_a − B_a, hi_a + B_a] on that
-// axis and evaluate only terms whose kernel support can intersect the
-// query; every skipped term contributes exactly 0.0, so results are
+// In d > 1 the paper's refinement — touch only the kernels whose support
+// intersects the query — is generalized (DESIGN.md §13). The sample lives in
+// a flat row-major buffer (util/flat_points.h) held in a *canonical order*
+// (CanonicalLess): sorted by a primary axis a — the axis with the largest
+// spread/bandwidth ratio, i.e. the axis where sorting prunes best — with
+// ties broken lexicographically over all coordinates and then by the sign of
+// zero. BoxProbability, BoxProbabilityBatch and Pdf binary-search the
+// candidate row range [lo_a − B_a, hi_a + B_a] on that axis and evaluate
+// only terms whose kernel support can intersect the query, O(log|R| +
+// d|R'|); every skipped term contributes exactly 0.0, so results are
 // bit-identical to a full sweep over the same canonical order.
 //
 // The estimator is an immutable snapshot: the online system (core::
@@ -30,10 +34,10 @@
 // so a rebuild never sees a stale one (DESIGN.md §13). A rebuild
 // is cheap because DensityModel keeps its own copy of the sample in
 // canonical order as the sample changes: Create() checks the order in
-// O(|R|·d) and sorts only a sample that is not already canonical. The
-// flat-buffer Create() overload plus ReleaseSampleStorage() let the rebuild
-// path recycle the retiring estimator's buffer and perform zero per-point
-// heap allocations.
+// O(|R|·d) — in 1-d summing the blocks in the same pass — and sorts only a
+// sample that is not already canonical. The SampleStorage Create() overload
+// plus ReleaseSampleStorage() let the rebuild path recycle the retiring
+// estimator's buffers and perform zero per-point heap allocations.
 
 #ifndef SENSORD_STATS_KDE_H_
 #define SENSORD_STATS_KDE_H_
@@ -61,13 +65,25 @@ class SnapshotWriter;
 /// Product-Epanechnikov kernel density estimator over [0,1]^d.
 class KernelDensityEstimator : public DistributionEstimator {
  public:
+  /// The heap buffers an estimator owns: the sample and, in 1-d, the block
+  /// power sums. A rebuild path hands the retiring estimator's buffers
+  /// (ReleaseSampleStorage()) to the next one, so neither is allocated
+  /// afresh. Converts from a bare FlatPoints sample.
+  struct SampleStorage {
+    SampleStorage() = default;
+    SampleStorage(FlatPoints s) : sample(std::move(s)) {}
+
+    FlatPoints sample;
+    std::vector<double> block_sums;  // contents are overwritten
+  };
+
   /// Builds an estimator from a flat sample and per-dimension bandwidths;
   /// the sample is sorted into canonical order in place, unless an
   /// O(|R|·d) check finds it canonical already. Returns
   /// InvalidArgument if the sample is empty, the dimensionalities are
   /// inconsistent, or any bandwidth is <= 0.
   static StatusOr<KernelDensityEstimator> Create(
-      FlatPoints sample, std::vector<double> bandwidths);
+      SampleStorage storage, std::vector<double> bandwidths);
 
   /// Convenience overload that flattens a Point vector first (allocates;
   /// hot rebuild paths should pass FlatPoints directly).
@@ -85,15 +101,18 @@ class KernelDensityEstimator : public DistributionEstimator {
   /// Convenience: Scott's-rule bandwidths from per-dimension standard
   /// deviations (see stats/bandwidth.h), then Create().
   static StatusOr<KernelDensityEstimator> CreateWithScottBandwidths(
-      FlatPoints sample, const std::vector<double>& stddevs);
+      SampleStorage storage, const std::vector<double>& stddevs);
   static StatusOr<KernelDensityEstimator> CreateWithScottBandwidths(
       const std::vector<Point>& sample, const std::vector<double>& stddevs);
 
   size_t dimensions() const override { return kernels_.size(); }
 
-  /// Closed-form probability mass of the box [lo, hi]:
+  /// Closed-form probability mass of the box [lo, hi]. In d > 1:
   /// O(log|R| + d|R'|), |R'| being the candidate rows whose primary-axis
-  /// coordinate falls in [lo_a − B_a, hi_a + B_a].
+  /// coordinate falls in [lo_a − B_a, hi_a + B_a]. In 1-d: O(log|R| +
+  /// |R'|/16 + 16) from the block power sums, within 1e-12 of the term
+  /// sweep (DESIGN.md §13). Never negative; an inverted box or an interval
+  /// no kernel touches has mass exactly 0.0.
   double BoxProbability(const Point& lo, const Point& hi) const override;
 
   /// BoxProbability(p − r, p + r), bit for bit and with the same metrics,
@@ -106,13 +125,15 @@ class KernelDensityEstimator : public DistributionEstimator {
   /// Values and metrics are bit-identical to the per-query loop
   /// (contributions accumulate per box in canonical sample order, exactly
   /// as BoxProbability sums them, and terms_per_query records each box's
-  /// own candidate count). In 1-d the per-query O(log|R| + |R'|) path is
-  /// already optimal and is used unchanged.
+  /// own candidate count). In 1-d each query takes the closed form, which
+  /// reads block sums rather than kernels, so the batch is a loop over
+  /// BoxProbability.
   void BoxProbabilityBatch(const std::vector<Point>& lo,
                            const std::vector<Point>& hi,
                            std::vector<double>* out) const override;
 
-  /// Density f(p). Same complexity as BoxProbability.
+  /// Density f(p). Same complexity as BoxProbability; in 1-d a quadratic
+  /// over the same block power sums.
   double Pdf(const Point& p) const override;
 
   /// Number of kernels |R|.
@@ -191,13 +212,19 @@ class KernelDensityEstimator : public DistributionEstimator {
     return memo_.memo ? memo_.memo->mass.size() : 0;
   }
 
-  /// Steals the flat sample storage so a rebuild path can recycle the heap
-  /// buffer (core::DensityModel refills it for the next estimator). The
-  /// estimator is left empty and must not be queried afterwards.
-  FlatPoints ReleaseSampleStorage() && { return std::move(sample_); }
+  /// Steals the sample and block-sum buffers so a rebuild path can recycle
+  /// them (core::DensityModel refills the sample for the next estimator).
+  /// The estimator is left empty and must not be queried afterwards.
+  SampleStorage ReleaseSampleStorage() && {
+    SampleStorage storage(std::move(sample_));
+    storage.block_sums = std::move(block_sums_);
+    return storage;
+  }
 
   /// Footprint under the paper's accounting: d numbers per sample point plus
-  /// d bandwidths, at `bytes_per_number` bytes each.
+  /// d bandwidths, at `bytes_per_number` bytes each. The 1-d block power
+  /// sums are a cache derived from the sample, like the cell memo, and are
+  /// not counted.
   size_t MemoryBytes(size_t bytes_per_number) const;
 
   /// Appends the estimator's defining state (sample points and bandwidths)
@@ -215,14 +242,21 @@ class KernelDensityEstimator : public DistributionEstimator {
   static StatusOr<KernelDensityEstimator> Deserialize(SnapshotReader* reader);
 
  private:
-  KernelDensityEstimator(FlatPoints sample, std::vector<double> bandwidths);
+  KernelDensityEstimator(SampleStorage storage,
+                         std::vector<double> bandwidths);
 
   // Picks primary_axis_ and sorts sample_ into canonical order, unless it is
-  // in that order already.
+  // in that order already; in 1-d, fills block_sums_.
   void Canonicalize();
 
-  // 1-d fast path for BoxProbability.
+  // 1-d: checks that sample_ is sorted and, in the same pass, fills
+  // block_sums_. Returns false, with block_sums_ unspecified, at the first
+  // row out of canonical order.
+  bool SumBlocksIfSorted();
+
+  // 1-d BoxProbability and Pdf: the closed forms over block_sums_.
   double Interval1dProbability(double lo, double hi) const;
+  double Pdf1d(double x) const;
 
   // BoxProbability over the box whose axis-i extent is [lo(i), hi(i)].
   template <typename Lo, typename Hi>
@@ -265,6 +299,10 @@ class KernelDensityEstimator : public DistributionEstimator {
 
   FlatPoints sample_;  // canonical order; in 1-d its data() is the sorted
                        // coordinate array the fast path binary-searches
+  // 1-d only: per block of 16 sorted rows (kBlockRows in kde.cc; the last
+  // |R| mod 16 rows form no block), its centre c and the power sums Σs, Σs²,
+  // Σs³ of s = t − c over its rows; four doubles per block.
+  std::vector<double> block_sums_;
   std::vector<EpanechnikovKernel> kernels_;
   size_t sample_size_;
   size_t primary_axis_ = 0;

@@ -27,6 +27,7 @@ class EpanechnikovKernel {
   explicit EpanechnikovKernel(double bandwidth);
 
   double bandwidth() const { return bandwidth_; }
+  double inv_bandwidth() const { return inv_bandwidth_; }
 
   /// Kernel value at offset x from the kernel centre.
   double Value(double x) const;

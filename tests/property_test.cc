@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstring>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -23,6 +24,7 @@
 #include "net/hierarchy.h"
 #include "net/network.h"
 #include "obs/metrics.h"
+#include "stats/bandwidth.h"
 #include "stats/divergence.h"
 #include "stats/empirical.h"
 #include "stats/histogram.h"
@@ -302,13 +304,17 @@ INSTANTIATE_TEST_SUITE_P(Dims, SyntheticConsistencyTest,
                          ::testing::Values(1, 2, 3));
 
 // ---------------------------------------------------------------------
-// Primary-axis pruning (DESIGN.md §13): BoxProbability / Pdf /
+// Primary-axis pruning (DESIGN.md §13): in d > 1, BoxProbability / Pdf /
 // BoxProbabilityBatch restrict the sweep to the binary-searched candidate
 // range, and the skipped terms contribute exactly 0.0 — so the results must
 // be *bit-identical* to a reference full sweep over the same canonical
-// order, for every seed and dimensionality.
+// order, for every seed and dimensionality. (1-d sums block power sums in
+// closed form instead; Kde1dClosedFormTest below bounds it against the same
+// reference sweep.)
 // ---------------------------------------------------------------------
 
+// Every canonical row, dims in order, early exit on a zero factor, final
+// division.
 double ReferenceFullSweepBoxMass(const KernelDensityEstimator& kde,
                                  const std::vector<EpanechnikovKernel>& ks,
                                  const Point& lo, const Point& hi) {
@@ -316,39 +322,6 @@ double ReferenceFullSweepBoxMass(const KernelDensityEstimator& kde,
     if (lo[i] > hi[i]) return 0.0;
   }
   const FlatPoints& s = kde.sample();
-  if (ks.size() == 1) {
-    // The 1-d fast path counts the fully-contained middle as an integer and
-    // sums the left then right partials; mirror that order, but classify
-    // every row by a linear scan instead of binary search, and check on the
-    // way that each skipped row really carries exactly zero mass.
-    const double b = ks[0].bandwidth();
-    const bool has_middle = lo[0] + b <= hi[0] - b;
-    double full = 0.0;
-    std::vector<double> left, right;
-    for (size_t row = 0; row < s.size(); ++row) {
-      const double v = s.At(row, 0);
-      if (v < lo[0] - b || v > hi[0] + b) {
-        EXPECT_EQ(ks[0].MassInInterval(v, lo[0], hi[0]), 0.0);
-        continue;
-      }
-      if (has_middle && v >= lo[0] + b && v <= hi[0] - b) {
-        full += 1.0;
-      } else if (has_middle && v < lo[0] + b) {
-        left.push_back(v);
-      } else {
-        right.push_back(v);
-      }
-    }
-    double mass = 0.0;
-    if (has_middle) mass += full;
-    for (const double v : left) mass += ks[0].MassInInterval(v, lo[0], hi[0]);
-    for (const double v : right) {
-      mass += ks[0].MassInInterval(v, lo[0], hi[0]);
-    }
-    return mass / static_cast<double>(s.size());
-  }
-  // d > 1: the un-pruned general path — every canonical row, dims in order,
-  // early exit on a zero factor, final division.
   double total = 0.0;
   for (size_t row = 0; row < s.size(); ++row) {
     const double* t = s.Row(row);
@@ -443,7 +416,142 @@ TEST_P(KdePruningBitIdentityTest, PrunedPathsMatchFullSweepBitwise) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Dims, KdePruningBitIdentityTest,
-                         ::testing::Values(1, 2, 3));
+                         ::testing::Values(2, 3));
+
+// ---------------------------------------------------------------------
+// Closed-form 1-d interval mass (DESIGN.md §13): BoxProbability, the
+// batch and Pdf in 1-d sum block-centred power sums instead of the kernel
+// terms. They must stay within 1e-12 of the term sweep everywhere —
+// Scott-wide bandwidths, the kMinBandwidth clamp over near-duplicate
+// clusters (where power sums about one global centre lose ≈1e-5), a
+// constant sample, intervals wide enough that whole kernels fall inside,
+// queries outside [0, 1] — and keep the exact answers: 0.0 for an empty
+// candidate range or an inverted box, no negative mass, and Ball == Box and
+// batch == per-query bit for bit.
+// ---------------------------------------------------------------------
+
+TEST(Kde1dClosedFormTest, MatchesTermSweepAndKeepsExactAnswers) {
+  constexpr double kTolerance = 1e-12;
+  double worst = 0.0;      // |closed − sweep| over the masses
+  double worst_pdf = 0.0;  // the same over max(1, f) for the densities
+  for (uint64_t seed = 1; seed <= 50; ++seed) {
+    Rng rng(seed * 7919 + 1);
+    const size_t n = 64 + static_cast<size_t>(rng.UniformUint64(448));
+    const int shape = static_cast<int>(seed % 3);
+    std::vector<Point> sample;
+    double bandwidth = 0.0;
+    std::vector<double> centres;  // where the narrow queries aim
+    if (shape == 0) {
+      // The fig9 shape, clustered bulk plus uniform strays, at a Scott-wide
+      // bandwidth.
+      for (size_t i = 0; i < n; ++i) {
+        sample.push_back({rng.Bernoulli(0.2)
+                              ? rng.UniformDouble()
+                              : Clamp(rng.Gaussian(0.3 + 0.2 * rng.Bernoulli(
+                                                                   0.5),
+                                                   0.05),
+                                      0.0, 1.0)});
+      }
+      bandwidth = rng.UniformDouble(0.02, 0.15);
+      centres = {0.3, 0.5, rng.UniformDouble()};
+    } else if (shape == 1) {
+      // Near-duplicate clusters at the bandwidth floor.
+      for (int c = 0; c < 4; ++c) centres.push_back(rng.UniformDouble());
+      for (size_t i = 0; i < n; ++i) {
+        const double c = centres[rng.UniformUint64(centres.size())];
+        sample.push_back({c + rng.UniformDouble(-3e-4, 3e-4)});
+      }
+      bandwidth = kMinBandwidth;
+    } else {
+      // A constant sample: Scott's rule sees σ = 0 and clamps.
+      const double c = rng.UniformDouble();
+      sample.assign(n, Point{c});
+      bandwidth = ScottBandwidths({0.0}, n)[0];
+      ASSERT_EQ(bandwidth, kMinBandwidth);
+      centres = {c};
+    }
+    auto kde = KernelDensityEstimator::Create(sample, {bandwidth});
+    ASSERT_TRUE(kde.ok());
+    const std::vector<EpanechnikovKernel> kernels{
+        EpanechnikovKernel(bandwidth)};
+
+    std::vector<Point> lo_batch, hi_batch;
+    std::vector<double> per_query;
+    for (int q = 0; q < 24; ++q) {
+      // Narrow intervals near the mass, intervals wider than 2B (full
+      // kernels inside), and anywhere in [-0.1, 1.1].
+      double centre, r;
+      switch (q % 3) {
+        case 0:
+          centre = centres[rng.UniformUint64(centres.size())] +
+                   rng.UniformDouble(-2.0, 2.0) * bandwidth;
+          r = rng.UniformDouble(0.0, 1.5) * bandwidth;
+          break;
+        case 1:
+          centre = centres[rng.UniformUint64(centres.size())] +
+                   rng.UniformDouble(-2.0, 2.0) * bandwidth;
+          r = rng.UniformDouble(1.0, 6.0) * bandwidth;
+          break;
+        default:
+          centre = rng.UniformDouble(-0.1, 1.1);
+          r = rng.UniformDouble(0.005, 0.12);
+          break;
+      }
+      const Point lo{centre - r}, hi{centre + r};
+      const double box = kde->BoxProbability(lo, hi);
+      const double reference =
+          ReferenceFullSweepBoxMass(*kde, kernels, lo, hi);
+      worst = std::max(worst, std::fabs(box - reference));
+      ASSERT_LE(std::fabs(box - reference), kTolerance)
+          << "seed " << seed << " query " << q;
+      ASSERT_GE(box, 0.0) << "seed " << seed << " query " << q;
+      ASSERT_EQ(std::bit_cast<uint64_t>(kde->BallProbability({centre}, r)),
+                std::bit_cast<uint64_t>(box))
+          << "seed " << seed << " query " << q;
+
+      // A density reaches 0.75/B = 7500 at kMinBandwidth, where the term
+      // sweep's own rounding is ≈1e-15 of it: bound the error relative to
+      // max(1, f).
+      const Point p{centre};
+      const double pdf = kde->Pdf(p);
+      const double pdf_reference = ReferenceFullSweepPdf(*kde, kernels, p);
+      const double pdf_error =
+          std::fabs(pdf - pdf_reference) / std::max(1.0, pdf_reference);
+      worst_pdf = std::max(worst_pdf, pdf_error);
+      ASSERT_LE(pdf_error, kTolerance)
+          << "pdf " << pdf_reference << ", seed " << seed << " query " << q;
+      ASSERT_GE(pdf, 0.0);
+
+      lo_batch.push_back(lo);
+      hi_batch.push_back(hi);
+      per_query.push_back(box);
+    }
+    // Exact answers: no kernel touches the interval, or the box is
+    // inverted.
+    lo_batch.push_back({1.5});
+    hi_batch.push_back({2.5});
+    per_query.push_back(kde->BoxProbability({1.5}, {2.5}));
+    EXPECT_EQ(per_query.back(), 0.0);
+    EXPECT_EQ(kde->BoxProbability({-2.0}, {-1.0}), 0.0);
+    EXPECT_EQ(kde->Pdf({3.0}), 0.0);
+    lo_batch.push_back({0.6});
+    hi_batch.push_back({0.4});
+    per_query.push_back(kde->BoxProbability({0.6}, {0.4}));
+    EXPECT_EQ(per_query.back(), 0.0);
+
+    std::vector<double> batched;
+    kde->BoxProbabilityBatch(lo_batch, hi_batch, &batched);
+    ASSERT_EQ(batched.size(), per_query.size());
+    for (size_t q = 0; q < batched.size(); ++q) {
+      ASSERT_EQ(std::bit_cast<uint64_t>(batched[q]),
+                std::bit_cast<uint64_t>(per_query[q]))
+          << "batched mass diverged at seed " << seed << " box " << q;
+    }
+  }
+  std::ostringstream errors;
+  errors << "mass " << worst << ", pdf " << worst_pdf;
+  RecordProperty("max_error", errors.str());
+}
 
 // ---------------------------------------------------------------------
 // The factored MDEF cell kernel (DESIGN.md §13) walks each kernel's cells as

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -321,6 +322,23 @@ TEST(KdeSnapshotTest, PointDimensionMismatchIsRejected) {
   ASSERT_TRUE(reader.ok());
   auto restored = KernelDensityEstimator::Deserialize(&reader.value());
   EXPECT_FALSE(restored.ok());
+}
+
+TEST(KdeSnapshotTest, SampleCountBeyondPayloadIsRejectedBeforeReserving) {
+  // A well-framed payload whose sample count claims 2^32 − 1 rows of
+  // d = 8 (≈256 GiB) but carries one. The count must be checked against
+  // the bytes present before it sizes an allocation.
+  const std::vector<double> bandwidths(8, 0.05);
+  SnapshotWriter writer;
+  writer.PutDoubles(bandwidths);
+  writer.PutU32(std::numeric_limits<uint32_t>::max());
+  writer.PutPoint(Point(8, 0.5));
+  const std::vector<uint8_t> bytes = std::move(writer).Finish(kTestVersion);
+  auto reader = SnapshotReader::Open(bytes, kTestVersion);
+  ASSERT_TRUE(reader.ok());
+  auto restored = KernelDensityEstimator::Deserialize(&reader.value());
+  ASSERT_FALSE(restored.ok());
+  EXPECT_EQ(restored.status().code(), Status::Code::kInvalidArgument);
 }
 
 TEST(DensityModelSnapshotTest, RestoredModelContinuesBitIdentically) {
