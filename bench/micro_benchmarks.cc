@@ -214,58 +214,49 @@ void BM_KdeBoxQuery2d(benchmark::State& state) {
 }
 BENCHMARK(BM_KdeBoxQuery2d)->Arg(128)->Arg(512)->Arg(2048);
 
-// A clustered 24-box batch (the shape of an MDEF cell scan) through the
-// single-sweep batched path; compare per-box ns against BM_KdeBoxQuery2d.
-void BM_KdeBoxQueryBatch2d(benchmark::State& state) {
+// Primary-axis pruning on 24 clustered boxes, the shape of an MDEF cell
+// scan, issued one BoxProbability call at a time: the terms_per_box
+// counter is the mean primary-axis candidate count |R'| a box actually
+// evaluates, and prune_factor = |R| / terms_per_box is the saving over the
+// full-sample sweep the pre-flat engine performed. The box vectors are
+// sized before the count starts, so allocs_per_op is the queries' own.
+template <size_t kDims>
+void KdeBoxQueryPruned(benchmark::State& state, uint64_t sample_seed,
+                       uint64_t query_seed) {
   const size_t n = static_cast<size_t>(state.range(0));
   auto kde = KernelDensityEstimator::CreateWithScottBandwidths(
-      RandomSample(n, 2, 6), {0.08, 0.08});
-  Rng q(7);
-  constexpr size_t kBoxes = 24;
-  std::vector<Point> lo(kBoxes), hi(kBoxes);
-  std::vector<double> masses;
-  for (auto _ : state) {
-    const double cx = q.UniformDouble(), cy = q.UniformDouble();
-    for (size_t b = 0; b < kBoxes; ++b) {
-      const double dx = 0.02 * static_cast<double>(b % 6);
-      const double dy = 0.02 * static_cast<double>(b / 6);
-      lo[b] = {cx + dx - 0.01, cy + dy - 0.01};
-      hi[b] = {cx + dx + 0.01, cy + dy + 0.01};
-    }
-    kde->BoxProbabilityBatch(lo, hi, &masses);
-    benchmark::DoNotOptimize(masses.data());
-  }
-  state.SetItemsProcessed(state.iterations() * kBoxes);
-}
-BENCHMARK(BM_KdeBoxQueryBatch2d)->Arg(128)->Arg(512)->Arg(2048);
-
-// Primary-axis pruning on the same MDEF-shaped clustered batch: the
-// terms_per_box counter is the mean primary-axis candidate count |R'| a
-// box actually evaluates, and prune_factor = |R| / terms_per_box is the
-// saving over the full-sample sweep the pre-flat engine performed.
-void BM_KdeBoxQueryPruned2d(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  auto kde = KernelDensityEstimator::CreateWithScottBandwidths(
-      RandomSample(n, 2, 6), {0.08, 0.08});
+      RandomSample(n, kDims, sample_seed), std::vector<double>(kDims, 0.08));
   obs::Histogram* terms = obs::MetricsRegistry::Global().GetHistogram(
       "stats.kde.terms_per_query", obs::SizeBoundaries());
-  Rng q(7);
+  Rng q(query_seed);
+  // A 6 x 4 cell grid in 2-d, 4 x 3 x 2 in 3-d.
   constexpr size_t kBoxes = 24;
-  std::vector<Point> lo(kBoxes), hi(kBoxes);
-  std::vector<double> masses;
+  constexpr size_t kRuns[] = {kDims == 2 ? 6u : 4u, kDims == 2 ? 4u : 3u, 2u};
+  std::vector<Point> lo(kBoxes, Point(kDims)), hi(kBoxes, Point(kDims));
+  Point centre(kDims);
   const uint64_t count_before = terms->Count();
   const double sum_before = terms->Sum();
+  const uint64_t allocs_before =
+      g_alloc_count.load(std::memory_order_relaxed);
   for (auto _ : state) {
-    const double cx = q.UniformDouble(), cy = q.UniformDouble();
+    for (double& c : centre) c = q.UniformDouble();
     for (size_t b = 0; b < kBoxes; ++b) {
-      const double dx = 0.02 * static_cast<double>(b % 6);
-      const double dy = 0.02 * static_cast<double>(b / 6);
-      lo[b] = {cx + dx - 0.01, cy + dy - 0.01};
-      hi[b] = {cx + dx + 0.01, cy + dy + 0.01};
+      size_t cell = b;
+      for (size_t i = 0; i < kDims; ++i) {
+        const double offset = 0.02 * static_cast<double>(cell % kRuns[i]);
+        cell /= kRuns[i];
+        lo[b][i] = centre[i] + offset - 0.01;
+        hi[b][i] = centre[i] + offset + 0.01;
+      }
+      benchmark::DoNotOptimize(kde->BoxProbability(lo[b], hi[b]));
     }
-    kde->BoxProbabilityBatch(lo, hi, &masses);
-    benchmark::DoNotOptimize(masses.data());
   }
+  const uint64_t allocs =
+      g_alloc_count.load(std::memory_order_relaxed) - allocs_before;
+  state.counters["allocs_per_op"] =
+      static_cast<double>(allocs) /
+      static_cast<double>(std::max<benchmark::IterationCount>(
+          state.iterations(), 1));
   const double boxes = static_cast<double>(terms->Count() - count_before);
   const double terms_per_box =
       boxes > 0.0 ? (terms->Sum() - sum_before) / boxes : 0.0;
@@ -273,41 +264,15 @@ void BM_KdeBoxQueryPruned2d(benchmark::State& state) {
   state.counters["prune_factor"] =
       terms_per_box > 0.0 ? static_cast<double>(n) / terms_per_box : 0.0;
   state.SetItemsProcessed(state.iterations() * kBoxes);
+}
+
+void BM_KdeBoxQueryPruned2d(benchmark::State& state) {
+  KdeBoxQueryPruned<2>(state, 6, 7);
 }
 BENCHMARK(BM_KdeBoxQueryPruned2d)->Arg(128)->Arg(512)->Arg(2048);
 
 void BM_KdeBoxQueryPruned3d(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  auto kde = KernelDensityEstimator::CreateWithScottBandwidths(
-      RandomSample(n, 3, 20), {0.08, 0.08, 0.08});
-  obs::Histogram* terms = obs::MetricsRegistry::Global().GetHistogram(
-      "stats.kde.terms_per_query", obs::SizeBoundaries());
-  Rng q(21);
-  constexpr size_t kBoxes = 24;  // 4 x 3 x 2 cell grid
-  std::vector<Point> lo(kBoxes), hi(kBoxes);
-  std::vector<double> masses;
-  const uint64_t count_before = terms->Count();
-  const double sum_before = terms->Sum();
-  for (auto _ : state) {
-    const double cx = q.UniformDouble(), cy = q.UniformDouble(),
-                 cz = q.UniformDouble();
-    for (size_t b = 0; b < kBoxes; ++b) {
-      const double dx = 0.02 * static_cast<double>(b % 4);
-      const double dy = 0.02 * static_cast<double>((b / 4) % 3);
-      const double dz = 0.02 * static_cast<double>(b / 12);
-      lo[b] = {cx + dx - 0.01, cy + dy - 0.01, cz + dz - 0.01};
-      hi[b] = {cx + dx + 0.01, cy + dy + 0.01, cz + dz + 0.01};
-    }
-    kde->BoxProbabilityBatch(lo, hi, &masses);
-    benchmark::DoNotOptimize(masses.data());
-  }
-  const double boxes = static_cast<double>(terms->Count() - count_before);
-  const double terms_per_box =
-      boxes > 0.0 ? (terms->Sum() - sum_before) / boxes : 0.0;
-  state.counters["terms_per_box"] = terms_per_box;
-  state.counters["prune_factor"] =
-      terms_per_box > 0.0 ? static_cast<double>(n) / terms_per_box : 0.0;
-  state.SetItemsProcessed(state.iterations() * kBoxes);
+  KdeBoxQueryPruned<3>(state, 20, 21);
 }
 BENCHMARK(BM_KdeBoxQueryPruned3d)->Arg(128)->Arg(512)->Arg(2048);
 

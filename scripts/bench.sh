@@ -113,6 +113,12 @@ if per_op.get(name) != 0:
     sys.exit(f"bench.sh: {name} allocs_per_op is {per_op.get(name)}, "
              f"not 0; a 1-d KDE query allocates")
 print(f"bench.sh: {name} allocs_per_op 0")
+# The d > 1 query kernel (DESIGN.md §13): a box query allocates nothing.
+for name in ("BM_KdeBoxQueryPruned2d/512", "BM_KdeBoxQueryPruned3d/512"):
+    if per_op.get(name) != 0:
+        sys.exit(f"bench.sh: {name} allocs_per_op is {per_op.get(name)}, "
+                 f"not 0; a d > 1 KDE box query allocates")
+    print(f"bench.sh: {name} allocs_per_op 0")
 # The MDEF cell memo (DESIGN.md §13): an evaluation whose cells are all
 # memoised allocates nothing.
 name = "BM_MdefEvaluation2dScott/512"

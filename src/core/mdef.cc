@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <span>
-#include <vector>
 
 #include "stats/kde.h"
 
@@ -13,10 +12,8 @@ namespace sensord {
 namespace {
 
 // Enumerates, recursively over dimensions, every cell of the 2*alpha*r grid
-// whose centre lies in the L-infinity ball B(p, r). Cells are collected
-// rather than queried one by one, so the whole scan goes to the estimator
-// as a single BoxProbabilityBatch call — one sample sweep for the KDE
-// instead of one per cell.
+// whose centre lies in the L-infinity ball B(p, r), queries its mass with
+// BoxProbability and accumulates the moments in enumeration order.
 struct CellScan {
   const DistributionEstimator& model;
   const Point& p;
@@ -24,9 +21,9 @@ struct CellScan {
   double sampling_radius;
   size_t cells_per_dim;
 
-  std::vector<Point> box_lo, box_hi;  // in enumeration order
-
   Point lo, hi;
+  double sum1 = 0.0, sum2 = 0.0, sum3 = 0.0;
+  size_t cells = 0;
 
   explicit CellScan(const DistributionEstimator& m, const Point& point,
                     const MdefConfig& config)
@@ -40,8 +37,11 @@ struct CellScan {
 
   void Recurse(size_t dim) {
     if (dim == model.dimensions()) {
-      box_lo.push_back(lo);
-      box_hi.push_back(hi);
+      const double s = model.BoxProbability(lo, hi);
+      sum1 += s;
+      sum2 += s * s;
+      sum3 += s * s * s;
+      ++cells;
       return;
     }
     // Cells j cover [j*side, (j+1)*side); keep those whose centre is within
@@ -71,25 +71,15 @@ void CheckMdefArguments(const DistributionEstimator& model, const Point& p,
   SENSORD_CHECK_LT(config.sampling_radius, 1.0);
 }
 
-// The generic evaluation: every cell is a box query, issued as one batch.
+// The generic evaluation: every cell is a box query.
 MdefResult ScanMdef(const DistributionEstimator& model, const Point& p,
                     const MdefConfig& config) {
   const double counting_mass =
       model.BallProbability(p, config.counting_radius);
   CellScan scan(model, p, config);
   scan.Recurse(0);
-  std::vector<double> masses;
-  model.BoxProbabilityBatch(scan.box_lo, scan.box_hi, &masses);
-  // Moments accumulate in cell enumeration order, exactly as the per-cell
-  // scan summed them.
-  double sum1 = 0.0, sum2 = 0.0, sum3 = 0.0;
-  for (const double s : masses) {
-    sum1 += s;
-    sum2 += s * s;
-    sum3 += s * s * s;
-  }
-  return MdefFromMasses(counting_mass, sum1, sum2, sum3, masses.size(),
-                        config);
+  return MdefFromMasses(counting_mass, scan.sum1, scan.sum2, scan.sum3,
+                        scan.cells, config);
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include "core/query_processing.h"
 
+#include <cmath>
 #include <utility>
 
 #include "core/protocol.h"
@@ -8,13 +9,33 @@
 #include "util/check.h"
 
 namespace sensord {
+namespace {
+
+// Whether a query that arrived over the network can be asked of a
+// d-dimensional model: a box of d coordinates, no NaN bound, and, for an
+// average, an axis the model has.
+bool Answerable(const AggregateQuery& query, size_t d) {
+  if (query.lo.size() != d || query.hi.size() != d) return false;
+  if (query.kind == AggregateQuery::Kind::kAverage && query.average_dim >= d) {
+    return false;
+  }
+  for (size_t i = 0; i < d; ++i) {
+    if (std::isnan(query.lo[i]) || std::isnan(query.hi[i])) return false;
+  }
+  return true;
+}
+
+}  // namespace
 
 QueryPartialPayload AnswerFromModel(const DensityModel& model,
                                     const AggregateQuery& query) {
   QueryPartialPayload part;
   part.query_id = query.id;
   part.leaves = 1;
-  if (!model.Ready()) return part;
+  // A malformed query gets the answer of a leaf with no model yet.
+  if (!model.Ready() || !Answerable(query, model.config().dimensions)) {
+    return part;
+  }
 
   part.window_total = model.WindowCount();
   const RangeQueryEngine engine(&model.Estimator(), part.window_total);

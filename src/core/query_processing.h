@@ -125,7 +125,10 @@ class QueryAggregatorNode : public Node {
   std::map<uint32_t, PendingQuery> pending_;
 };
 
-/// Computes a leaf's partial answer from its model — exposed for tests.
+/// Computes a leaf's partial answer from its model — exposed for tests. A
+/// leaf whose model is not ready, or that gets a query its model cannot
+/// answer (a box without the model's dimensionality, a NaN bound, an
+/// average over an axis the model lacks), reports count 0 and leaves 1.
 QueryPartialPayload AnswerFromModel(const DensityModel& model,
                                     const AggregateQuery& query);
 

@@ -1,7 +1,5 @@
 #include "core/range_query.h"
 
-#include <vector>
-
 #include "util/check.h"
 
 
@@ -31,20 +29,16 @@ StatusOr<double> RangeQueryEngine::Average(size_t dim, const Point& lo,
   if (width <= 0.0) {
     return Status::InvalidArgument("degenerate query box");
   }
-  // All slices go to the estimator as one batch: a single pruned sweep of
-  // the union box's candidate rows for the KDE instead of one per slice.
-  std::vector<Point> slice_lo(slices, lo), slice_hi(slices, hi);
-  for (size_t s = 0; s < slices; ++s) {
-    slice_lo[s][dim] = lo[dim] + static_cast<double>(s) * width;
-    slice_hi[s][dim] = slice_lo[s][dim] + width;
-  }
-  std::vector<double> masses;
-  estimator_->BoxProbabilityBatch(slice_lo, slice_hi, &masses);
+  // One box query per slice; the slices differ from [lo, hi] only on `dim`.
+  Point slice_lo(lo), slice_hi(hi);
   double mass_total = 0.0;
   double weighted = 0.0;
   for (size_t s = 0; s < slices; ++s) {
-    mass_total += masses[s];
-    weighted += masses[s] * (slice_lo[s][dim] + 0.5 * width);
+    slice_lo[dim] = lo[dim] + static_cast<double>(s) * width;
+    slice_hi[dim] = slice_lo[dim] + width;
+    const double mass = estimator_->BoxProbability(slice_lo, slice_hi);
+    mass_total += mass;
+    weighted += mass * (slice_lo[dim] + 0.5 * width);
   }
   if (mass_total <= 1e-12) {
     return Status::NotFound("query box holds no probability mass");

@@ -9,12 +9,14 @@
 // equi-depth histograms, exact empirical distributions and the analytic
 // generator distributions all implement this one interface, so detection
 // algorithms, baselines and divergence computations are estimator-agnostic.
+// Callers ask one box at a time — an MDEF cell scan or a sliced range query
+// is a loop of BoxProbability calls — so an estimator has one box path to
+// make fast, not a batched second one.
 
 #ifndef SENSORD_STATS_ESTIMATOR_H_
 #define SENSORD_STATS_ESTIMATOR_H_
 
 #include <cstddef>
-#include <vector>
 
 #include "util/math_utils.h"
 
@@ -45,23 +47,6 @@ class DistributionEstimator {
       hi[i] += r;
     }
     return BoxProbability(lo, hi);
-  }
-
-  /// Batched form of BoxProbability: out[q] = BoxProbability(lo[q], hi[q])
-  /// for every q, with identical values and identical per-query metrics.
-  /// The default is the plain query loop; estimators override it when a
-  /// whole batch can be answered in one pass over their state (the KDE
-  /// answers a batch in a single sweep of the union box's primary-axis
-  /// candidate range — the cell scans of the MDEF
-  /// detector and sliced range queries issue dozens of adjacent boxes at
-  /// once). Pre: lo.size() == hi.size(), every box has dimensions() coords.
-  virtual void BoxProbabilityBatch(const std::vector<Point>& lo,
-                                   const std::vector<Point>& hi,
-                                   std::vector<double>* out) const {
-    out->resize(lo.size());
-    for (size_t q = 0; q < lo.size(); ++q) {
-      (*out)[q] = BoxProbability(lo[q], hi[q]);
-    }
   }
 
   /// Density at point p.

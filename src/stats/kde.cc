@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <memory>
 #include <vector>
 
@@ -17,18 +16,14 @@ namespace {
 
 // Per-query cost telemetry: the paper's O(d|R|) box-query bound — and the
 // pruned paths — made observable as the kernels each query touches.
-// terms_per_query records, for every box (batched or not), the
-// primary-axis candidate count |R'| (in 1-d the kernels touching the
-// interval, which the closed form covers with about 2|R'|/16 block sums);
-// batch_swept_terms counts the rows a batched sweep actually loads (the
-// union candidate range), which is what the batching saves on top of
-// per-box pruning. Each memoised GridCellMasses() call is either a
-// cell_memo_fill (it ran the cell kernel) or a cell_memo_hit (every listed
-// cell was known).
+// terms_per_query records, for every box, the primary-axis candidate count
+// |R'| (in 1-d the kernels touching the interval, which the closed form
+// covers with about 2|R'|/16 block sums). Each memoised GridCellMasses()
+// call is either a cell_memo_fill (it ran the cell kernel) or a
+// cell_memo_hit (every listed cell was known).
 struct KdeMetrics {
   obs::Counter* box_queries;
   obs::Histogram* terms_per_query;
-  obs::Counter* batch_swept_terms;
   obs::Counter* cell_memo_fills;
   obs::Counter* cell_memo_hits;
 };
@@ -39,7 +34,6 @@ const KdeMetrics& Metrics() {
       registry.GetCounter("stats.kde.box_queries"),
       registry.GetHistogram("stats.kde.terms_per_query",
                             obs::SizeBoundaries()),
-      registry.GetCounter("stats.kde.batch_swept_terms"),
       registry.GetCounter("stats.kde.cell_memo_fills"),
       registry.GetCounter("stats.kde.cell_memo_hits")};
   return m;
@@ -376,6 +370,25 @@ double KernelDensityEstimator::Pdf1d(double x) const {
   return std::max(density, 0.0) / static_cast<double>(sample_size_);
 }
 
+template <typename Factor>
+double KernelDensityEstimator::SumCandidateRows(std::pair<size_t, size_t> rows,
+                                                Factor factor) const {
+  // Only the candidate rows can have a nonzero primary-axis factor; every
+  // other row's term is exactly 0.0, so restricting the sweep keeps the sum
+  // bit-identical to the full canonical-order sweep.
+  const size_t d = dimensions();
+  double total = 0.0;
+  for (size_t row = rows.first; row < rows.second; ++row) {
+    const double* t = sample_.Row(row);
+    double contrib = 1.0;
+    for (size_t i = 0; i < d && contrib > 0.0; ++i) {
+      contrib *= factor(i, t[i]);
+    }
+    total += contrib;
+  }
+  return total / static_cast<double>(sample_size_);
+}
+
 template <typename Lo, typename Hi>
 double KernelDensityEstimator::BoxMass(Lo lo, Hi hi) const {
   Metrics().box_queries->Increment();
@@ -384,23 +397,12 @@ double KernelDensityEstimator::BoxMass(Lo lo, Hi hi) const {
     if (lo(i) > hi(i)) return 0.0;  // inverted box: empty
   }
   if (d == 1) return Interval1dProbability(lo(0), hi(0));
-
-  // d > 1: only the canonical rows whose primary-axis coordinate falls in
-  // [lo_a - B_a, hi_a + B_a] can have nonzero mass in the box; every other
-  // row's primary-axis factor is exactly 0, so restricting the sweep keeps
-  // the sum bit-identical to the full canonical-order sweep.
-  const auto [begin, end] = CandidateRows(lo(primary_axis_), hi(primary_axis_));
-  Metrics().terms_per_query->Record(static_cast<double>(end - begin));
-  double total = 0.0;
-  for (size_t row = begin; row < end; ++row) {
-    const double* t = sample_.Row(row);
-    double contrib = 1.0;
-    for (size_t i = 0; i < d && contrib > 0.0; ++i) {
-      contrib *= kernels_[i].MassInInterval(t[i], lo(i), hi(i));
-    }
-    total += contrib;
-  }
-  return total / static_cast<double>(sample_size_);
+  const auto rows = CandidateRows(lo(primary_axis_), hi(primary_axis_));
+  Metrics().terms_per_query->Record(
+      static_cast<double>(rows.second - rows.first));
+  return SumCandidateRows(rows, [this, &lo, &hi](size_t i, double t) {
+    return kernels_[i].MassInInterval(t, lo(i), hi(i));
+  });
 }
 
 double KernelDensityEstimator::BoxProbability(const Point& lo,
@@ -418,106 +420,12 @@ double KernelDensityEstimator::BallProbability(const Point& p,
                  [&p, r](size_t i) { return p[i] + r; });
 }
 
-void KernelDensityEstimator::BoxProbabilityBatch(
-    const std::vector<Point>& lo, const std::vector<Point>& hi,
-    std::vector<double>* out) const {
-  const size_t queries = lo.size();
-  SENSORD_DCHECK_EQ(hi.size(), queries);
-  if (queries == 0) {
-    out->clear();
-    return;
-  }
-  if (dimensions() == 1) {
-    // The 1-d closed form reads block sums, not kernels; one union sweep
-    // has nothing to share between queries.
-    out->resize(queries);
-    for (size_t q = 0; q < queries; ++q) {
-      (*out)[q] = BoxProbability(lo[q], hi[q]);
-    }
-    return;
-  }
-
-  const size_t d = dimensions();
-  out->assign(queries, 0.0);
-  // Union of the live boxes, seeded empty at ±infinity: the batch must not
-  // assume the [0,1]^d domain, or out-of-domain boxes would widen the union
-  // instead of leaving it empty (and a batch of them would sweep the whole
-  // sample for an all-zero answer).
-  std::vector<char> live(queries, 1);
-  Point batch_lo(d, std::numeric_limits<double>::infinity());
-  Point batch_hi(d, -std::numeric_limits<double>::infinity());
-  size_t live_count = 0;
-  for (size_t q = 0; q < queries; ++q) {
-    SENSORD_DCHECK_EQ(lo[q].size(), d);
-    SENSORD_DCHECK_EQ(hi[q].size(), d);
-    Metrics().box_queries->Increment();
-    for (size_t i = 0; i < d; ++i) {
-      if (lo[q][i] > hi[q][i]) live[q] = 0;  // inverted box: empty
-    }
-    if (!live[q]) continue;
-    // Metric parity with the per-query path: record this box's own
-    // primary-axis candidate count, exactly what BoxProbability would.
-    const auto [q_begin, q_end] =
-        CandidateRows(lo[q][primary_axis_], hi[q][primary_axis_]);
-    Metrics().terms_per_query->Record(static_cast<double>(q_end - q_begin));
-    ++live_count;
-    for (size_t i = 0; i < d; ++i) {
-      batch_lo[i] = std::min(batch_lo[i], lo[q][i]);
-      batch_hi[i] = std::max(batch_hi[i], hi[q][i]);
-    }
-  }
-  if (live_count == 0) return;
-
-  // One sweep over the union's candidate range; each row is loaded once and
-  // support-tested against the union box before any per-box work. Skipped
-  // rows (outside the range or failing the union test) add exactly 0.0 to
-  // every box, so per-box accumulation order matches BoxProbability's
-  // canonical-order sum bit for bit.
-  const auto [sweep_begin, sweep_end] =
-      CandidateRows(batch_lo[primary_axis_], batch_hi[primary_axis_]);
-  Metrics().batch_swept_terms->Increment(
-      static_cast<uint64_t>(sweep_end - sweep_begin));
-  for (size_t row = sweep_begin; row < sweep_end; ++row) {
-    const double* t = sample_.Row(row);
-    bool overlaps = true;
-    for (size_t i = 0; i < d && overlaps; ++i) {
-      const double b = kernels_[i].bandwidth();
-      overlaps = t[i] + b > batch_lo[i] && t[i] - b < batch_hi[i];
-    }
-    if (!overlaps) continue;
-    for (size_t q = 0; q < queries; ++q) {
-      if (!live[q]) continue;
-      double contrib = 1.0;
-      for (size_t i = 0; i < d && contrib > 0.0; ++i) {
-        contrib *= kernels_[i].MassInInterval(t[i], lo[q][i], hi[q][i]);
-      }
-      (*out)[q] += contrib;
-    }
-  }
-  // Divide (not multiply by a reciprocal): bit-identical to BoxProbability.
-  for (size_t q = 0; q < queries; ++q) {
-    (*out)[q] /= static_cast<double>(sample_size_);
-  }
-}
-
 double KernelDensityEstimator::Pdf(const Point& p) const {
   SENSORD_DCHECK_EQ(p.size(), dimensions());
   if (dimensions() == 1) return Pdf1d(p[0]);
-  // d > 1: rows outside the primary-axis support window have a zero kernel
-  // factor on that axis, so the candidate restriction is bit-identical to
-  // the full canonical-order sweep (same argument as BoxProbability).
-  const size_t d = dimensions();
-  const auto [begin, end] = CandidateRows(p[primary_axis_], p[primary_axis_]);
-  double total = 0.0;
-  for (size_t row = begin; row < end; ++row) {
-    const double* t = sample_.Row(row);
-    double contrib = 1.0;
-    for (size_t i = 0; i < d && contrib > 0.0; ++i) {
-      contrib *= kernels_[i].Value(p[i] - t[i]);
-    }
-    total += contrib;
-  }
-  return total / static_cast<double>(sample_size_);
+  return SumCandidateRows(
+      CandidateRows(p[primary_axis_], p[primary_axis_]),
+      [this, &p](size_t i, double t) { return kernels_[i].Value(p[i] - t); });
 }
 
 std::span<const double> KernelDensityEstimator::GridCellMasses(

@@ -19,11 +19,11 @@
 // (CanonicalLess): sorted by a primary axis a — the axis with the largest
 // spread/bandwidth ratio, i.e. the axis where sorting prunes best — with
 // ties broken lexicographically over all coordinates and then by the sign of
-// zero. BoxProbability, BoxProbabilityBatch and Pdf binary-search the
-// candidate row range [lo_a − B_a, hi_a + B_a] on that axis and evaluate
-// only terms whose kernel support can intersect the query, O(log|R| +
-// d|R'|); every skipped term contributes exactly 0.0, so results are
-// bit-identical to a full sweep over the same canonical order.
+// zero. BoxProbability, BallProbability and Pdf share one query kernel:
+// it binary-searches the candidate row range [lo_a − B_a, hi_a + B_a] on
+// that axis and sums only the terms whose kernel support can intersect the
+// query, O(log|R| + d|R'|); every skipped term contributes exactly 0.0, so
+// results are bit-identical to a full sweep over the same canonical order.
 //
 // The estimator is an immutable snapshot: the online system (core::
 // DensityModel) rebuilds it from the current chain sample whenever it needs
@@ -118,19 +118,6 @@ class KernelDensityEstimator : public DistributionEstimator {
   /// BoxProbability(p − r, p + r), bit for bit and with the same metrics,
   /// without allocating the box.
   double BallProbability(const Point& p, double r) const override;
-
-  /// One candidate-range sweep for the whole batch in d > 1: the union of
-  /// the live boxes bounds one binary-searched row range, each row in it is
-  /// loaded once and tested against the union box before any per-box work.
-  /// Values and metrics are bit-identical to the per-query loop
-  /// (contributions accumulate per box in canonical sample order, exactly
-  /// as BoxProbability sums them, and terms_per_query records each box's
-  /// own candidate count). In 1-d each query takes the closed form, which
-  /// reads block sums rather than kernels, so the batch is a loop over
-  /// BoxProbability.
-  void BoxProbabilityBatch(const std::vector<Point>& lo,
-                           const std::vector<Point>& hi,
-                           std::vector<double>* out) const override;
 
   /// Density f(p). Same complexity as BoxProbability; in 1-d a quadratic
   /// over the same block power sums.
@@ -261,6 +248,14 @@ class KernelDensityEstimator : public DistributionEstimator {
   // BoxProbability over the box whose axis-i extent is [lo(i), hi(i)].
   template <typename Lo, typename Hi>
   double BoxMass(Lo lo, Hi hi) const;
+
+  // The d > 1 query kernel: Σ over the canonical rows [rows.first,
+  // rows.second) of Π_i factor(i, t_i), the product stopping at the first
+  // non-positive partial, divided by |R|. `factor` is a kernel's
+  // MassInInterval for a box and its Value for a density.
+  template <typename Factor>
+  double SumCandidateRows(std::pair<size_t, size_t> rows,
+                          Factor factor) const;
 
   // The factored MDEF cell kernel, GridCellMasses()'s only fill routine:
   // adds every reaching row's mass, in canonical order, to the cells

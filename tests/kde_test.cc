@@ -224,37 +224,11 @@ TEST(KdeTest, DuplicatePointsAreWeighted) {
   EXPECT_NEAR(kde->BoxProbability({0.85}, {0.95}), 0.25, 1e-12);
 }
 
-// Regression for the batch union-box seeding: the old seed of
-// (lo=1, hi=0) assumed the [0,1]^d domain, so a batch of boxes entirely
-// outside it widened the union to touch the domain and swept real kernel
-// terms for an all-zero answer. With the ±infinity seeding the union is the
-// boxes' true hull and the candidate range is empty.
-TEST(KdeTest, BatchDoesNotAssumeUnitDomain) {
-  std::vector<Point> sample;
-  for (int i = 0; i < 50; ++i) {
-    sample.push_back({0.04 + 0.0005 * i, 0.5});
-  }
-  auto kde = KernelDensityEstimator::Create(sample, {0.1, 0.1});
-  ASSERT_TRUE(kde.ok());
-
-  std::vector<Point> lo{{-0.6, 0.4}, {-0.58, 0.45}};
-  std::vector<Point> hi{{-0.5, 0.5}, {-0.48, 0.55}};
-  obs::Counter* swept = obs::MetricsRegistry::Global().GetCounter(
-      "stats.kde.batch_swept_terms");
-  const uint64_t swept_before = swept->value();
-  std::vector<double> masses;
-  kde->BoxProbabilityBatch(lo, hi, &masses);
-  EXPECT_EQ(swept->value() - swept_before, 0u);
-  ASSERT_EQ(masses.size(), 2u);
-  for (size_t q = 0; q < masses.size(); ++q) {
-    EXPECT_DOUBLE_EQ(masses[q], 0.0);
-    EXPECT_DOUBLE_EQ(masses[q], kde->BoxProbability(lo[q], hi[q]));
-  }
-}
-
-// The batched path's contract: identical values and identical per-query
-// metrics as the per-query loop, box by box.
-TEST(KdeTest, BatchMatchesPerQueryValuesAndMetrics) {
+// Per-query cost telemetry: every box query counts in
+// stats.kde.box_queries, and every non-inverted one records its
+// primary-axis candidate count |R'| in stats.kde.terms_per_query.
+// BallProbability is the same query, bit for bit and metric for metric.
+TEST(KdeTest, BoxQueriesRecordCandidateRows) {
   Rng rng(21);
   std::vector<Point> sample;
   for (int i = 0; i < 400; ++i) {
@@ -264,9 +238,10 @@ TEST(KdeTest, BatchMatchesPerQueryValuesAndMetrics) {
   auto kde = KernelDensityEstimator::Create(sample, {0.05, 0.08});
   ASSERT_TRUE(kde.ok());
 
-  std::vector<Point> lo, hi;
+  std::vector<Point> centre, lo, hi;
   for (int b = 0; b < 12; ++b) {
     const double cx = 0.1 + 0.06 * b, cy = 0.9 - 0.05 * b;
+    centre.push_back({cx, cy});
     lo.push_back({cx - 0.02, cy - 0.02});
     hi.push_back({cx + 0.02, cy + 0.02});
   }
@@ -278,26 +253,35 @@ TEST(KdeTest, BatchMatchesPerQueryValuesAndMetrics) {
   obs::Histogram* terms =
       registry.GetHistogram("stats.kde.terms_per_query",
                             obs::SizeBoundaries());
+  const size_t axis = kde->primary_axis();
+  double candidates = 0.0;
+  for (size_t q = 0; q + 1 < lo.size(); ++q) {
+    const auto [begin, end] = kde->CandidateRows(lo[q][axis], hi[q][axis]);
+    candidates += static_cast<double>(end - begin);
+  }
+  ASSERT_GT(candidates, 0.0);
 
   const uint64_t q0 = queries->value();
   const uint64_t c0 = terms->Count();
   const double s0 = terms->Sum();
-  std::vector<double> batched;
-  kde->BoxProbabilityBatch(lo, hi, &batched);
-  const uint64_t batch_queries = queries->value() - q0;
-  const uint64_t batch_records = terms->Count() - c0;
-  const double batch_terms = terms->Sum() - s0;
+  std::vector<double> masses;
+  for (size_t q = 0; q < lo.size(); ++q) {
+    masses.push_back(kde->BoxProbability(lo[q], hi[q]));
+  }
+  EXPECT_EQ(queries->value() - q0, 13u);
+  EXPECT_EQ(terms->Count() - c0, 12u);
+  EXPECT_DOUBLE_EQ(terms->Sum() - s0, candidates);
+  EXPECT_EQ(masses.back(), 0.0);
 
   const uint64_t q1 = queries->value();
   const uint64_t c1 = terms->Count();
   const double s1 = terms->Sum();
-  ASSERT_EQ(batched.size(), lo.size());
-  for (size_t q = 0; q < lo.size(); ++q) {
-    EXPECT_DOUBLE_EQ(batched[q], kde->BoxProbability(lo[q], hi[q])) << q;
+  for (size_t q = 0; q < centre.size(); ++q) {
+    EXPECT_EQ(kde->BallProbability(centre[q], 0.02), masses[q]) << q;
   }
-  EXPECT_EQ(batch_queries, queries->value() - q1);
-  EXPECT_EQ(batch_records, terms->Count() - c1);
-  EXPECT_DOUBLE_EQ(batch_terms, terms->Sum() - s1);
+  EXPECT_EQ(queries->value() - q1, 12u);
+  EXPECT_EQ(terms->Count() - c1, 12u);
+  EXPECT_DOUBLE_EQ(terms->Sum() - s1, candidates);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -19,6 +20,7 @@
 #include "core/mdef.h"
 #include "core/mgdd.h"
 #include "core/protocol.h"
+#include "core/range_query.h"
 #include "core/snapshot.h"
 #include "data/synthetic.h"
 #include "net/hierarchy.h"
@@ -304,13 +306,19 @@ INSTANTIATE_TEST_SUITE_P(Dims, SyntheticConsistencyTest,
                          ::testing::Values(1, 2, 3));
 
 // ---------------------------------------------------------------------
-// Primary-axis pruning (DESIGN.md §13): in d > 1, BoxProbability / Pdf /
-// BoxProbabilityBatch restrict the sweep to the binary-searched candidate
-// range, and the skipped terms contribute exactly 0.0 — so the results must
-// be *bit-identical* to a reference full sweep over the same canonical
-// order, for every seed and dimensionality. (1-d sums block power sums in
-// closed form instead; Kde1dClosedFormTest below bounds it against the same
-// reference sweep.)
+// Primary-axis pruning (DESIGN.md §13): in d > 1, BoxProbability,
+// BallProbability and Pdf share one kernel that restricts the sweep to the
+// binary-searched candidate range, and the skipped terms contribute exactly
+// 0.0 — so the results must be *bit-identical* to a reference full sweep
+// over the same canonical order, for every seed and dimensionality. (1-d
+// sums block power sums in closed form instead; Kde1dClosedFormTest below
+// bounds it against the same reference sweep.)
+//
+// Both suites also scale each seed's sample, bandwidths and queries by 2^k,
+// k in [-3, 3]. Scaling by a power of two commutes with every rounding step
+// of a query — each difference, product and quotient scales exactly — so
+// box and ball masses must come out bit-identical and a density exactly
+// 2^(-kd) times the unscaled one.
 // ---------------------------------------------------------------------
 
 // Every canonical row, dims in order, early exit on a zero factor, final
@@ -350,6 +358,47 @@ double ReferenceFullSweepPdf(const KernelDensityEstimator& kde,
   return total / static_cast<double>(s.size());
 }
 
+Point ScaledPoint(Point p, int k) {
+  for (double& x : p) x = std::ldexp(x, k);
+  return p;
+}
+
+// An estimator over `sample` and `bandwidths` scaled by 2^k.
+KernelDensityEstimator ScaledKde(const std::vector<Point>& sample,
+                                 const std::vector<double>& bandwidths,
+                                 int k) {
+  std::vector<Point> scaled_sample;
+  for (const Point& t : sample) scaled_sample.push_back(ScaledPoint(t, k));
+  return *KernelDensityEstimator::Create(scaled_sample,
+                                         ScaledPoint(bandwidths, k));
+}
+
+uint64_t Bits(double x) { return std::bit_cast<uint64_t>(x); }
+
+// RangeQueryEngine::Average over the reference sweep: slice [lo, hi] along
+// `dim` and weight each slice centre by its mass. Empty where Average
+// returns an error: a degenerate box or one that holds no mass.
+std::optional<double> ReferenceSliceAverage(
+    const KernelDensityEstimator& kde,
+    const std::vector<EpanechnikovKernel>& ks, size_t dim, const Point& lo,
+    const Point& hi, size_t slices) {
+  const double width = (hi[dim] - lo[dim]) / static_cast<double>(slices);
+  if (width <= 0.0) return std::nullopt;
+  double mass_total = 0.0;
+  double weighted = 0.0;
+  Point slice_lo(lo), slice_hi(hi);
+  for (size_t s = 0; s < slices; ++s) {
+    slice_lo[dim] = lo[dim] + static_cast<double>(s) * width;
+    slice_hi[dim] = slice_lo[dim] + width;
+    const double mass =
+        ReferenceFullSweepBoxMass(kde, ks, slice_lo, slice_hi);
+    mass_total += mass;
+    weighted += mass * (slice_lo[dim] + 0.5 * width);
+  }
+  if (mass_total <= 1e-12) return std::nullopt;
+  return weighted / mass_total;
+}
+
 class KdePruningBitIdentityTest : public ::testing::TestWithParam<size_t> {};
 
 TEST_P(KdePruningBitIdentityTest, PrunedPathsMatchFullSweepBitwise) {
@@ -377,40 +426,60 @@ TEST_P(KdePruningBitIdentityTest, PrunedPathsMatchFullSweepBitwise) {
     ASSERT_TRUE(kde.ok());
     std::vector<EpanechnikovKernel> kernels;
     for (double b : bandwidths) kernels.emplace_back(b);
+    const int k = static_cast<int>(seed % 7) - 3;
+    const KernelDensityEstimator scaled = ScaledKde(sample, bandwidths, k);
 
-    std::vector<Point> lo_batch, hi_batch;
+    // Average's slices over the bulk of the sample and over the seed's
+    // first random box, which may hold no mass.
+    std::vector<std::pair<Point, Point>> average_boxes{
+        {Point(d, 0.15), Point(d, 0.65)}};
     for (int q = 0; q < 8; ++q) {
-      Point lo(d), hi(d);
+      Point lo(d), hi(d), centre(d);
+      double r = 0.0;
       for (size_t i = 0; i < d; ++i) {
-        const double c = rng.UniformDouble(-0.1, 1.1);
-        const double r = rng.UniformDouble(0.005, 0.12);
-        lo[i] = c - r;
-        hi[i] = c + r;
+        centre[i] = rng.UniformDouble(-0.1, 1.1);
+        r = rng.UniformDouble(0.005, 0.12);
+        lo[i] = centre[i] - r;
+        hi[i] = centre[i] + r;
       }
       const double pruned = kde->BoxProbability(lo, hi);
       const double reference =
           ReferenceFullSweepBoxMass(*kde, kernels, lo, hi);
       ASSERT_EQ(pruned, reference)
           << "box mass diverged at seed " << seed << " d " << d;
+      ASSERT_EQ(Bits(scaled.BoxProbability(ScaledPoint(lo, k),
+                                           ScaledPoint(hi, k))),
+                Bits(pruned))
+          << "scaled box mass diverged at seed " << seed << " k " << k;
+      ASSERT_EQ(Bits(scaled.BallProbability(ScaledPoint(centre, k),
+                                            std::ldexp(r, k))),
+                Bits(kde->BallProbability(centre, r)))
+          << "scaled ball mass diverged at seed " << seed << " k " << k;
 
       Point p(d);
       for (size_t i = 0; i < d; ++i) p[i] = rng.UniformDouble(-0.1, 1.1);
-      ASSERT_EQ(kde->Pdf(p), ReferenceFullSweepPdf(*kde, kernels, p))
+      const double pdf = kde->Pdf(p);
+      ASSERT_EQ(pdf, ReferenceFullSweepPdf(*kde, kernels, p))
           << "pdf diverged at seed " << seed << " d " << d;
+      ASSERT_EQ(Bits(scaled.Pdf(ScaledPoint(p, k))),
+                Bits(std::ldexp(pdf, -k * static_cast<int>(d))))
+          << "scaled pdf diverged at seed " << seed << " k " << k;
 
-      lo_batch.push_back(std::move(lo));
-      hi_batch.push_back(std::move(hi));
+      if (q == 0) average_boxes.emplace_back(std::move(lo), std::move(hi));
     }
 
-    std::vector<double> batched;
-    kde->BoxProbabilityBatch(lo_batch, hi_batch, &batched);
-    ASSERT_EQ(batched.size(), lo_batch.size());
-    for (size_t q = 0; q < batched.size(); ++q) {
-      ASSERT_EQ(batched[q],
-                ReferenceFullSweepBoxMass(*kde, kernels, lo_batch[q],
-                                          hi_batch[q]))
-          << "batched mass diverged at seed " << seed << " d " << d
-          << " box " << q;
+    const RangeQueryEngine engine(&*kde, 1000.0);
+    const size_t dim = seed % d;
+    for (const auto& [lo, hi] : average_boxes) {
+      const auto average = engine.Average(dim, lo, hi);
+      const std::optional<double> reference =
+          ReferenceSliceAverage(*kde, kernels, dim, lo, hi, 64);
+      ASSERT_EQ(average.ok(), reference.has_value())
+          << "average status diverged at seed " << seed << " d " << d;
+      if (reference) {
+        ASSERT_EQ(Bits(*average), Bits(*reference))
+            << "average diverged at seed " << seed << " d " << d;
+      }
     }
   }
 }
@@ -419,15 +488,15 @@ INSTANTIATE_TEST_SUITE_P(Dims, KdePruningBitIdentityTest,
                          ::testing::Values(2, 3));
 
 // ---------------------------------------------------------------------
-// Closed-form 1-d interval mass (DESIGN.md §13): BoxProbability, the
-// batch and Pdf in 1-d sum block-centred power sums instead of the kernel
-// terms. They must stay within 1e-12 of the term sweep everywhere —
+// Closed-form 1-d interval mass (DESIGN.md §13): BoxProbability and Pdf
+// in 1-d sum block-centred power sums instead of the kernel terms. They
+// must stay within 1e-12 of the term sweep everywhere —
 // Scott-wide bandwidths, the kMinBandwidth clamp over near-duplicate
 // clusters (where power sums about one global centre lose ≈1e-5), a
 // constant sample, intervals wide enough that whole kernels fall inside,
 // queries outside [0, 1] — and keep the exact answers: 0.0 for an empty
-// candidate range or an inverted box, no negative mass, and Ball == Box and
-// batch == per-query bit for bit.
+// candidate range or an inverted box, no negative mass, Ball == Box bit for
+// bit, and the power-of-two scaling property above.
 // ---------------------------------------------------------------------
 
 TEST(Kde1dClosedFormTest, MatchesTermSweepAndKeepsExactAnswers) {
@@ -474,9 +543,9 @@ TEST(Kde1dClosedFormTest, MatchesTermSweepAndKeepsExactAnswers) {
     ASSERT_TRUE(kde.ok());
     const std::vector<EpanechnikovKernel> kernels{
         EpanechnikovKernel(bandwidth)};
+    const int k = static_cast<int>(seed % 7) - 3;
+    const KernelDensityEstimator scaled = ScaledKde(sample, {bandwidth}, k);
 
-    std::vector<Point> lo_batch, hi_batch;
-    std::vector<double> per_query;
     for (int q = 0; q < 24; ++q) {
       // Narrow intervals near the mass, intervals wider than 2B (full
       // kernels inside), and anywhere in [-0.1, 1.1].
@@ -505,9 +574,16 @@ TEST(Kde1dClosedFormTest, MatchesTermSweepAndKeepsExactAnswers) {
       ASSERT_LE(std::fabs(box - reference), kTolerance)
           << "seed " << seed << " query " << q;
       ASSERT_GE(box, 0.0) << "seed " << seed << " query " << q;
-      ASSERT_EQ(std::bit_cast<uint64_t>(kde->BallProbability({centre}, r)),
-                std::bit_cast<uint64_t>(box))
+      ASSERT_EQ(Bits(kde->BallProbability({centre}, r)), Bits(box))
           << "seed " << seed << " query " << q;
+      ASSERT_EQ(Bits(scaled.BoxProbability(ScaledPoint(lo, k),
+                                           ScaledPoint(hi, k))),
+                Bits(box))
+          << "scaled box mass diverged at seed " << seed << " k " << k;
+      ASSERT_EQ(Bits(scaled.BallProbability({std::ldexp(centre, k)},
+                                            std::ldexp(r, k))),
+                Bits(box))
+          << "scaled ball mass diverged at seed " << seed << " k " << k;
 
       // A density reaches 0.75/B = 7500 at kMinBandwidth, where the term
       // sweep's own rounding is ≈1e-15 of it: bound the error relative to
@@ -521,32 +597,16 @@ TEST(Kde1dClosedFormTest, MatchesTermSweepAndKeepsExactAnswers) {
       ASSERT_LE(pdf_error, kTolerance)
           << "pdf " << pdf_reference << ", seed " << seed << " query " << q;
       ASSERT_GE(pdf, 0.0);
-
-      lo_batch.push_back(lo);
-      hi_batch.push_back(hi);
-      per_query.push_back(box);
+      ASSERT_EQ(Bits(scaled.Pdf(ScaledPoint(p, k))),
+                Bits(std::ldexp(pdf, -k)))
+          << "scaled pdf diverged at seed " << seed << " k " << k;
     }
     // Exact answers: no kernel touches the interval, or the box is
     // inverted.
-    lo_batch.push_back({1.5});
-    hi_batch.push_back({2.5});
-    per_query.push_back(kde->BoxProbability({1.5}, {2.5}));
-    EXPECT_EQ(per_query.back(), 0.0);
+    EXPECT_EQ(kde->BoxProbability({1.5}, {2.5}), 0.0);
     EXPECT_EQ(kde->BoxProbability({-2.0}, {-1.0}), 0.0);
     EXPECT_EQ(kde->Pdf({3.0}), 0.0);
-    lo_batch.push_back({0.6});
-    hi_batch.push_back({0.4});
-    per_query.push_back(kde->BoxProbability({0.6}, {0.4}));
-    EXPECT_EQ(per_query.back(), 0.0);
-
-    std::vector<double> batched;
-    kde->BoxProbabilityBatch(lo_batch, hi_batch, &batched);
-    ASSERT_EQ(batched.size(), per_query.size());
-    for (size_t q = 0; q < batched.size(); ++q) {
-      ASSERT_EQ(std::bit_cast<uint64_t>(batched[q]),
-                std::bit_cast<uint64_t>(per_query[q]))
-          << "batched mass diverged at seed " << seed << " box " << q;
-    }
+    EXPECT_EQ(kde->BoxProbability({0.6}, {0.4}), 0.0);
   }
   std::ostringstream errors;
   errors << "mass " << worst << ", pdf " << worst_pdf;

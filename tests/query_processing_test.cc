@@ -77,6 +77,44 @@ TEST(AnswerFromModelTest, UnwarmedModelAnswersZero) {
   EXPECT_EQ(part.leaves, 1u);
 }
 
+// A query from the network that the model cannot answer — a box of the
+// wrong dimensionality, an average over a missing axis, a NaN bound — gets
+// the unwarmed answer instead of reading past the box, aborting, or
+// turning the aggregate into NaN.
+TEST(AnswerFromModelTest, MalformedQueryAnswersZero) {
+  DensityModelConfig cfg = LeafConfig();
+  cfg.dimensions = 2;
+  DensityModel model(cfg, Rng(5));
+  Rng values(6);
+  for (int i = 0; i < 2000; ++i) {
+    model.Observe({values.Gaussian(0.4, 0.05), values.Gaussian(0.6, 0.05)});
+  }
+  AggregateQuery good;
+  good.kind = AggregateQuery::Kind::kAverage;
+  good.lo = {0.2, 0.4};
+  good.hi = {0.6, 0.8};
+  good.average_dim = 1;
+  const auto answered = AnswerFromModel(model, good);
+  EXPECT_GT(answered.count, 0.0);
+  EXPECT_GT(answered.weighted_sum, 0.0);
+
+  AggregateQuery short_box = good;
+  short_box.kind = AggregateQuery::Kind::kCount;
+  short_box.lo = {0.2};
+  short_box.hi = {0.6};
+  AggregateQuery missing_axis = good;
+  missing_axis.average_dim = 2;
+  AggregateQuery nan_bound = good;
+  nan_bound.hi[0] = std::numeric_limits<double>::quiet_NaN();
+  for (const AggregateQuery& q : {short_box, missing_axis, nan_bound}) {
+    const auto part = AnswerFromModel(model, q);
+    EXPECT_EQ(part.count, 0.0);
+    EXPECT_EQ(part.weighted_sum, 0.0);
+    EXPECT_EQ(part.window_total, 0.0);
+    EXPECT_EQ(part.leaves, 1u);
+  }
+}
+
 TEST(AnswerFromModelTest, CountMatchesModel) {
   DensityModel model(LeafConfig(), Rng(3));
   Rng values(4);
