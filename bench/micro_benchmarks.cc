@@ -1,11 +1,11 @@
 // Micro-benchmarks (google-benchmark) for the paper's per-operation cost
 // claims: O(d|R|) box range queries — a closed form in 1-d — cheap chain
 // sample and variance sketch updates (Theorems 1, 2, 4), estimator
-// rebuilds, MDEF evaluation, and JS divergence on a grid. The BM_Obs* group
-// holds the obs layer to its budget: counter updates and histogram records
-// in single-digit nanoseconds, disabled instrumentation at zero allocations
-// per event (reported as the allocs_per_op counter via the operator new
-// override below).
+// rebuilds, MGDD replica updates, MDEF evaluation, and JS divergence on a
+// grid. The BM_Obs* group holds the obs layer to its budget: counter
+// updates and histogram records in single-digit nanoseconds, disabled
+// instrumentation at zero allocations per event (reported as the
+// allocs_per_op counter via the operator new override below).
 
 #include <benchmark/benchmark.h>
 
@@ -13,13 +13,17 @@
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <utility>
 #include <vector>
 
 #include "core/density_model.h"
 #include "core/mdef.h"
+#include "core/mgdd.h"
 #include "data/synthetic.h"
+#include "net/hierarchy.h"
+#include "net/network.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -316,10 +320,16 @@ void BM_MdefEvaluation2d(benchmark::State& state) {
 }
 BENCHMARK(BM_MdefEvaluation2d)->Arg(128)->Arg(512);
 
+// The sigmas of the perf benchmark's mgdd_2d replicas: at |R| = 512 Scott's
+// rule (B = sqrt(5) sigma |R|^(-1/6) in 2-d) turns them into B = (0.051,
+// 0.062), the mean bandwidths of mgdd_2d's replica estimators over all
+// cell fills at seed 2026.
+const std::vector<double> kMgdd2dSigmas = {0.065, 0.078};
+
 // The perf benchmark's mgdd_2d evaluation shape: a 2-d paper-mixture sample
-// of |R| = n, Scott bandwidths from sigma = 0.2 (wide enough that most
-// kernels cover the whole 8 x 8 cell grid of r = 0.08, alpha*r = 0.01), and
-// queries drawn from the same stream.
+// of |R| = n, Scott bandwidths from kMgdd2dSigmas (a kernel spans about 5
+// of the 8 cells per axis of r = 0.08, alpha*r = 0.01), and queries drawn
+// from the same stream.
 std::pair<KernelDensityEstimator, std::vector<Point>> MdefScottCase(
     int64_t n) {
   SyntheticOptions so;
@@ -328,7 +338,7 @@ std::pair<KernelDensityEstimator, std::vector<Point>> MdefScottCase(
   std::vector<Point> sample;
   for (int64_t i = 0; i < n; ++i) sample.push_back(stream.Next());
   auto kde = KernelDensityEstimator::CreateWithScottBandwidths(sample,
-                                                               {0.2, 0.2});
+                                                               kMgdd2dSigmas);
   std::vector<Point> queries;
   for (int i = 0; i < 1024; ++i) queries.push_back(stream.Next());
   return {std::move(kde).value(), std::move(queries)};
@@ -397,6 +407,77 @@ void BM_MdefEvaluation2dScottPerVersion(benchmark::State& state) {
   MdefEvaluation2dScottFresh(state, 8);
 }
 BENCHMARK(BM_MdefEvaluation2dScottPerVersion)->Arg(512);
+
+// An mgdd_2d leaf's replica update: a 1-slot diff, the root's usual push,
+// applied to a warmed 2-d leaf of |R| = Arg slots, then the
+// GlobalEstimator() rebuild its next reading makes. The diffs are built
+// before the clock starts. allocs_per_update counts what HandleMessage and
+// the rebuild allocate; it must not grow with |R| (scripts/bench.sh fails
+// unless /512 equals /128): a slot diff allocates nothing per slot.
+void BM_MgddReplicaUpdate(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  MgddOptions opts;
+  opts.model.dimensions = 2;
+  opts.model.sample_size = n;
+  Simulator sim;
+  Rng rng(22);
+  const std::vector<NodeId> ids = sim.Instantiate(
+      *BuildGridHierarchy(2, 2),
+      [&](int, const HierarchyNodeSpec& spec) -> std::unique_ptr<Node> {
+        if (spec.level == 1) {
+          return std::make_unique<MgddLeafNode>(opts, rng.Split(), nullptr);
+        }
+        return std::make_unique<MgddInternalNode>(opts, rng.Split());
+      });
+  auto& leaf = static_cast<MgddLeafNode&>(sim.node(ids[0]));
+  SyntheticOptions so;
+  so.dimensions = 2;
+  SyntheticMixtureStream stream(so, Rng(23));
+  const auto update = [&](std::vector<GlobalSlotUpdate> slots) {
+    auto payload = std::make_shared<GlobalModelUpdatePayload>();
+    payload->updates = std::move(slots);
+    payload->stddevs = kMgdd2dSigmas;
+    Message msg;
+    msg.from = ids.back();
+    msg.to = ids[0];
+    msg.kind = kMsgGlobalModelUpdate;
+    msg.payload = std::shared_ptr<const GlobalModelUpdatePayload>(payload);
+    return msg;
+  };
+  std::vector<GlobalSlotUpdate> every;
+  for (size_t i = 0; i < n; ++i) {
+    every.push_back(GlobalSlotUpdate{static_cast<uint32_t>(i), stream.Next()});
+  }
+  std::vector<Message> diffs;
+  for (int i = 0; i < 4096; ++i) {
+    diffs.push_back(update({GlobalSlotUpdate{
+        static_cast<uint32_t>(rng.UniformUint64(n)), stream.Next()}}));
+  }
+  // Fill every slot, then rebuild twice so the estimator's storage is
+  // recycled from here on.
+  leaf.HandleMessage(update(std::move(every)));
+  benchmark::DoNotOptimize(&leaf.GlobalEstimator());
+  size_t next = 0;
+  for (; next < 2; ++next) {
+    leaf.HandleMessage(diffs[next]);
+    benchmark::DoNotOptimize(&leaf.GlobalEstimator());
+  }
+  const uint64_t allocs_before =
+      g_alloc_count.load(std::memory_order_relaxed);
+  for (auto _ : state) {
+    leaf.HandleMessage(diffs[next]);
+    benchmark::DoNotOptimize(&leaf.GlobalEstimator());
+    next = (next + 1) % diffs.size();
+  }
+  const uint64_t allocs =
+      g_alloc_count.load(std::memory_order_relaxed) - allocs_before;
+  state.counters["allocs_per_update"] =
+      static_cast<double>(allocs) /
+      static_cast<double>(std::max<benchmark::IterationCount>(
+          state.iterations(), 1));
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_MgddReplicaUpdate)->Arg(128)->Arg(512);
 
 void BM_JsDivergenceOnGrid(benchmark::State& state) {
   auto a = KernelDensityEstimator::CreateWithScottBandwidths(

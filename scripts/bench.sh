@@ -40,7 +40,7 @@ echo "=== bench.sh [1/5] micro_benchmarks -> ${OUT_DIR}/BENCH_micro.json ==="
 # still runs when SENSORD_QUICK=0.
 FILTER=""
 if [ "${SENSORD_QUICK}" != "0" ]; then
-  FILTER="--benchmark_filter=(BM_Obs.*|BM_ChainSampleAdd/128|BM_KdeBoxQuery1d/500|BM_KdeBoxQueryPruned2d/512|BM_KdeBoxQueryPruned3d/512|BM_MdefEvaluation2dScott(Cold|PerVersion)?/512|BM_DensityModelRebuild/(512|2048)|BM_DensityModelRebuild1d/500|BM_VarianceSketch(Add|AddStdDev|StdDev)/10000)"
+  FILTER="--benchmark_filter=(BM_Obs.*|BM_ChainSampleAdd/128|BM_KdeBoxQuery1d/500|BM_KdeBoxQueryPruned2d/512|BM_KdeBoxQueryPruned3d/512|BM_MdefEvaluation2dScott(Cold|PerVersion)?/512|BM_DensityModelRebuild/(512|2048)|BM_DensityModelRebuild1d/500|BM_MgddReplicaUpdate/(128|512)|BM_VarianceSketch(Add|AddStdDev|StdDev)/10000)"
   export BENCHMARK_MIN_TIME="${BENCHMARK_MIN_TIME:-0.05}"
 fi
 build/release/bench/micro_benchmarks ${FILTER} \
@@ -89,6 +89,17 @@ if small is None or large is None or small != large:
     sys.exit(f"bench.sh: allocs_per_rebuild differs across |R| "
              f"(/512: {small}, /2048: {large}); rebuilds allocate per point")
 print(f"bench.sh: allocs_per_rebuild {small:g} at |R| = 512 and 2048")
+# The maintained MGDD replica (DESIGN.md §13): a slot diff and the rebuild
+# after it allocate the same O(d) vectors whatever |R| is.
+updates = {b["name"]: b.get("allocs_per_update")
+           for b in docs[sys.argv[1]]["benchmarks"]}
+small = updates.get("BM_MgddReplicaUpdate/128")
+large = updates.get("BM_MgddReplicaUpdate/512")
+if small is None or large is None or small != large:
+    sys.exit(f"bench.sh: allocs_per_update differs across |R| "
+             f"(/128: {small}, /512: {large}); replica updates allocate "
+             f"per slot")
+print(f"bench.sh: allocs_per_update {small:g} at |R| = 128 and 512")
 # A warm 1-d rebuild allocates its spreads, bandwidth and kernel vectors and
 # nothing else: the block power sums (DESIGN.md §13) travel with the
 # recycled sample buffer. A fourth allocation is an unrecycled buffer.

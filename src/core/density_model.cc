@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 
 #include "core/snapshot.h"
 #include "obs/metrics.h"
@@ -35,22 +34,6 @@ const DensityModelMetrics& Metrics() {
   return m;
 }
 
-// First row in [begin, end) of the canonically ordered `rows` that is not
-// canonically less than `key`.
-size_t CanonicalLowerBound(const FlatPoints& rows, size_t axis, size_t begin,
-                           size_t end, const double* key) {
-  const size_t d = rows.dimensions();
-  while (begin < end) {
-    const size_t mid = begin + (end - begin) / 2;
-    if (KernelDensityEstimator::CanonicalLess(rows.Row(mid), key, d, axis)) {
-      begin = mid + 1;
-    } else {
-      end = mid;
-    }
-  }
-  return begin;
-}
-
 }  // namespace
 
 DensityModel::DensityModel(const DensityModelConfig& config, Rng rng)
@@ -73,44 +56,20 @@ bool DensityModel::Observe(const Point& p) {
   for (size_t i = 0; i < config_.dimensions; ++i) sketches_[i].Add(p[i]);
   if (canonical_.empty()) return sample_.Add(p);
   const bool entered = sample_.Add(p, &sample_changes_);
-  PatchCanonical();
-  return entered;
-}
-
-void DensityModel::PatchCanonical() {
   // The buffer exists only alongside a cached estimator, whose order it
   // keeps, and only once the sample is seeded, so every change displaces
-  // exactly one row.
+  // exactly one row. Changes apply in the order the sample made them, so a
+  // row that arrived earlier in the same Add() (an expiry's new front) can
+  // depart later (a restart of that chain).
   const FlatPoints& departed = sample_changes_.departed;
   const FlatPoints& arrived = sample_changes_.arrived;
   SENSORD_DCHECK_EQ(departed.size(), arrived.size());
-  const size_t d = canonical_.dimensions();
-  const size_t n = canonical_.size();
-  const size_t axis = cached_->primary_axis();
-  double* rows = canonical_.mutable_data()->data();
-  // Changes apply in the order the sample made them, so a row that arrived
-  // earlier in the same Add() (an expiry's new front) can depart later (a
-  // restart of that chain).
   for (size_t k = 0; k < arrived.size(); ++k) {
-    const double* out = departed.Row(k);
-    const double* in = arrived.Row(k);
-    const size_t from = CanonicalLowerBound(canonical_, axis, 0, n, out);
-    SENSORD_CHECK(from < n &&
-                  std::memcmp(rows + from * d, out, d * sizeof(double)) == 0 &&
-                  "maintained canonical sample lost a departed row");
-    // Slide the rows between the departed row's slot and the arrived row's
-    // slot over by one, then write the arrived row into the freed slot.
-    size_t to;
-    if (KernelDensityEstimator::CanonicalLess(in, out, d, axis)) {
-      to = CanonicalLowerBound(canonical_, axis, 0, from, in);
-      std::copy_backward(rows + to * d, rows + from * d,
-                         rows + (from + 1) * d);
-    } else {
-      to = CanonicalLowerBound(canonical_, axis, from + 1, n, in) - 1;
-      std::copy(rows + (from + 1) * d, rows + (to + 1) * d, rows + from * d);
-    }
-    std::copy(in, in + d, rows + to * d);
+    KernelDensityEstimator::ReplaceCanonicalRow(
+        departed.Row(k), arrived.Row(k), cached_->primary_axis(),
+        &canonical_);
   }
+  return entered;
 }
 
 const KernelDensityEstimator& DensityModel::Estimator() const {
@@ -123,31 +82,11 @@ const KernelDensityEstimator& DensityModel::Estimator() const {
   if (stale) {
     const obs::ScopedTimer timer(Metrics().rebuild_ns);
     Metrics().estimator_rebuilds->Increment();
-    // Zero per-point-allocation rebuild (DESIGN.md §13): the new estimator
-    // takes over the retiring one's buffer, refilled from the maintained
-    // canonical buffer, which Create() then finds already sorted. Only O(d)
-    // vectors (spreads, bandwidths, kernels) are allocated per rebuild.
-    const bool maintained = !canonical_.empty();
-    size_t axis = 0;
-    KernelDensityEstimator::SampleStorage storage;
-    if (cached_.has_value()) {
-      axis = cached_->primary_axis();
-      storage = std::move(*cached_).ReleaseSampleStorage();
-    }
-    if (maintained) {
-      storage.sample = canonical_;
-    } else {
-      sample_.SnapshotTo(&storage.sample);
-    }
-    auto built = KernelDensityEstimator::CreateWithScottBandwidths(
-        std::move(storage), BandwidthSpreads());
-    SENSORD_CHECK_OK(built.status());  // inputs are valid by construction
-    cached_.emplace(std::move(built).value());
-    // First build, or Create() re-sorted along a new primary axis (d > 1):
-    // the buffer adopts the estimator's order from here on.
-    if (!maintained || cached_->primary_axis() != axis) {
-      canonical_ = cached_->sample();
-    }
+    // Zero per-point-allocation rebuild from the maintained canonical
+    // buffer (DESIGN.md §13); the first build snapshots and sorts.
+    KernelDensityEstimator::RebuildCanonical(
+        &cached_, &canonical_, BandwidthSpreads(),
+        [this](FlatPoints* rows) { sample_.SnapshotTo(rows); });
     cached_sample_version_ = version;
     cached_at_count_ = seen;
   } else {

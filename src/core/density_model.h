@@ -115,10 +115,6 @@ class DensityModel {
   bool Restore(SnapshotReader* reader);
 
  private:
-  // Applies sample_changes_ — one departed -> arrived row replacement per
-  // active-sample change — to canonical_.
-  void PatchCanonical();
-
   DensityModelConfig config_;
   ChainSample sample_;
   std::vector<VarianceSketch> sketches_;
@@ -132,10 +128,10 @@ class DensityModel {
   // (KernelDensityEstimator::CanonicalLess on its primary axis), or empty
   // while not maintained: it is created by the first Estimator() call and
   // dropped by Restore(). Observe() patches it through sample_changes_ (the
-  // chain sample's reused change report), so a rebuild copies it into the
-  // retiring estimator's storage and Create() finds it sorted; after a
-  // primary-axis change (d > 1) Create() re-sorts and the buffer adopts the
-  // new order. coord_scratch_ is the robust-bandwidth IQR's warm buffer.
+  // chain sample's reused change report), one
+  // KernelDensityEstimator::ReplaceCanonicalRow() per departed -> arrived
+  // pair, and KernelDensityEstimator::RebuildCanonical() rebuilds from it.
+  // coord_scratch_ is the robust-bandwidth IQR's warm buffer.
   // mutable because rebuilds happen inside const queries; a DensityModel is
   // single-owner state (DESIGN.md §12).
   mutable FlatPoints canonical_;

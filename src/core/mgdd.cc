@@ -1,6 +1,8 @@
 #include "core/mgdd.h"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <utility>
 
@@ -28,7 +30,7 @@ struct MgddMetrics {
   obs::Counter* updates_originated;   // root model pushes
   obs::Counter* updates_suppressed;   // kOnModelChange pushes skipped (JS)
   obs::Counter* updates_applied;      // replica updates applied at leaves
-  obs::Counter* updates_malformed;    // dropped: wrong dimensionality
+  obs::Counter* updates_malformed;    // dropped: shape or non-finite value
   obs::Histogram* update_slots;       // slot-diff size per originated push
 };
 
@@ -53,13 +55,37 @@ const MgddMetrics& Metrics() {
 constexpr uint32_t kMgddLeafSnapshotVersion = 3;
 constexpr uint32_t kMgddInternalSnapshotVersion = 4;
 
-// Fills `payload` with every slot of `snapshot` (a full push).
-void AppendEverySlot(const std::vector<Point>& snapshot,
+// Fills `payload` with every slot of `sample` (a full push).
+void AppendEverySlot(const ChainSample& sample,
                      GlobalModelUpdatePayload* payload) {
-  for (size_t i = 0; i < snapshot.size(); ++i) {
-    payload->updates.push_back(
-        GlobalSlotUpdate{static_cast<uint32_t>(i), snapshot[i]});
+  for (size_t i = 0; i < sample.sample_size(); ++i) {
+    payload->updates.push_back(GlobalSlotUpdate{
+        static_cast<uint32_t>(i), sample.ActiveElement(i).ToPoint()});
   }
+}
+
+// Sizes `table` to `rows` rows of d NaNs: slots that hold no value yet.
+void ResetToNaNRows(size_t rows, size_t d, FlatPoints* table) {
+  table->Reset(d);
+  table->mutable_data()->assign(rows * d,
+                                std::numeric_limits<double>::quiet_NaN());
+}
+
+// A slot value the replica can hold: d finite coordinates, which the
+// canonical order can place.
+bool ValidSlotValue(const Point& p, size_t d) {
+  return p.size() == d && std::all_of(p.begin(), p.end(), [](double c) {
+           return std::isfinite(c);
+         });
+}
+
+// Sigmas the replica can build from: d finite spreads, none negative
+// (Scott's rule rejects a negative one).
+bool ValidSpreads(const std::vector<double>& spreads, size_t d) {
+  return spreads.size() == d &&
+         std::all_of(spreads.begin(), spreads.end(), [](double s) {
+           return std::isfinite(s) && s >= 0.0;
+         });
 }
 
 }  // namespace
@@ -127,12 +153,13 @@ void MgddLeafNode::OnReading(const Point& value) {
 void MgddLeafNode::HandleMessage(const Message& msg) {
   if (msg.kind != kMsgGlobalModelUpdate) return;
   const auto& update = std::any_cast<const SharedUpdate&>(msg.payload);
-  // An update of the wrong dimensionality could never build an estimator;
-  // drop it whole rather than let it into the replica.
+  // An update the replica cannot hold — sigmas or slot values of the wrong
+  // dimensionality, non-finite, or a negative sigma — could never build an
+  // estimator (or would break the canonical order); drop it whole.
   const size_t d = options_.model.dimensions;
-  bool well_formed = update->stddevs.size() == d;
+  bool well_formed = ValidSpreads(update->stddevs, d);
   for (const GlobalSlotUpdate& u : update->updates) {
-    well_formed = well_formed && u.value.size() == d;
+    well_formed = well_formed && ValidSlotValue(u.value, d);
   }
   if (!well_formed) {
     Metrics().updates_malformed->Increment();
@@ -145,15 +172,23 @@ void MgddLeafNode::HandleMessage(const Message& msg) {
         obs::DeriveSpanId(msg.trace_id, id(), /*salt=*/level()),
         msg.trace_parent_span);
   }
-  if (global_sample_.empty()) {
-    global_sample_.resize(options_.model.sample_size);
-    slot_valid_.assign(options_.model.sample_size, false);
-  }
+  const size_t slots = options_.model.sample_size;
+  if (global_slots_.empty()) ResetToNaNRows(slots, d, &global_slots_);
+  // Re-sorting every slot once is cheaper than patching each one in.
+  if (update->updates.size() >= slots) canonical_replica_.Reset(d);
   for (const GlobalSlotUpdate& u : update->updates) {
-    if (u.slot >= global_sample_.size()) continue;  // malformed; ignore
-    global_sample_[u.slot] = u.value;
-    if (!slot_valid_[u.slot]) ++valid_slots_;
-    slot_valid_[u.slot] = true;
+    if (u.slot >= slots) continue;  // malformed; ignore
+    double* row = global_slots_.MutableRow(u.slot);
+    if (std::isnan(row[0])) {
+      // A slot turning valid grows the sample; the next rebuild sorts.
+      ++valid_slots_;
+      canonical_replica_.Reset(d);
+    } else if (!canonical_replica_.empty()) {
+      KernelDensityEstimator::ReplaceCanonicalRow(
+          row, u.value.data(), cached_global_->primary_axis(),
+          &canonical_replica_);
+    }
+    std::copy(u.value.begin(), u.value.end(), row);
   }
   global_stddevs_ = update->stddevs;
   ++updates_received_;
@@ -170,10 +205,11 @@ std::vector<uint8_t> MgddLeafNode::SaveState() const {
   writer.PutRng(rng_);
   // Global-model replica. Slot points are written even when invalid (they
   // are then empty), so slot count alone fixes the layout.
-  writer.PutU32(static_cast<uint32_t>(global_sample_.size()));
-  for (size_t i = 0; i < global_sample_.size(); ++i) {
-    writer.PutBool(slot_valid_[i]);
-    writer.PutPoint(global_sample_[i]);
+  writer.PutU32(static_cast<uint32_t>(global_slots_.size()));
+  for (size_t i = 0; i < global_slots_.size(); ++i) {
+    const bool valid = !std::isnan(global_slots_.At(i, 0));
+    writer.PutBool(valid);
+    writer.PutPoint(valid ? global_slots_.ToPoint(i) : Point{});
   }
   writer.PutDoubles(global_stddevs_);
   writer.PutU64(replica_version_);
@@ -183,28 +219,58 @@ std::vector<uint8_t> MgddLeafNode::SaveState() const {
 }
 
 bool MgddLeafNode::RestoreState(const std::vector<uint8_t>& bytes) {
+  // The replica goes first, so even a failed restore leaves none that could
+  // not build an estimator.
+  ClearReplica();
   auto reader = SnapshotReader::Open(bytes, kMgddLeafSnapshotVersion);
   if (!reader.ok()) return false;
   SnapshotReader& r = reader.value();
   if (!local_model_.Restore(&r)) return false;
   rng_ = r.TakeRng();
+  // The replica must fit this leaf: no slots (no update yet) or one per
+  // root chain, each valid one holding d finite coordinates, and d finite,
+  // non-negative sigmas alongside.
+  const size_t d = options_.model.dimensions;
   const uint32_t slots = r.TakeU32();
-  global_sample_.clear();
-  slot_valid_.clear();
-  valid_slots_ = 0;
+  if (slots != 0 && slots != options_.model.sample_size) return false;
+  FlatPoints table;
+  size_t valid = 0;
+  if (slots != 0) ResetToNaNRows(slots, d, &table);
   for (uint32_t i = 0; i < slots && r.ok(); ++i) {
-    slot_valid_.push_back(r.TakeBool());
-    global_sample_.push_back(r.TakePoint());
-    valid_slots_ += slot_valid_.back() ? 1 : 0;
+    const bool slot_valid = r.TakeBool();
+    const Point p = r.TakePoint();
+    if (!slot_valid) continue;
+    if (!ValidSlotValue(p, d)) return false;
+    std::copy(p.begin(), p.end(), table.MutableRow(i));
+    ++valid;
   }
-  global_stddevs_ = r.TakeDoubles();
-  replica_version_ = r.TakeU64();
-  updates_received_ = r.TakeU64();
-  last_update_time_ = r.TakeDouble();
+  std::vector<double> stddevs = r.TakeDoubles();
+  const uint64_t replica_version = r.TakeU64();
+  const uint64_t updates_received = r.TakeU64();
+  const double last_update_time = r.TakeDouble();
   if (!r.ok()) return false;
+  if (slots == 0 ? !stddevs.empty() : !ValidSpreads(stddevs, d)) {
+    return false;
+  }
+  global_slots_ = std::move(table);
+  valid_slots_ = valid;
+  global_stddevs_ = std::move(stddevs);
+  replica_version_ = replica_version;
+  updates_received_ = updates_received;
+  last_update_time_ = last_update_time;
+  return true;
+}
+
+void MgddLeafNode::ClearReplica() {
+  global_slots_.Reset(0);
+  valid_slots_ = 0;
+  global_stddevs_.clear();
+  updates_received_ = 0;
+  replica_version_ = 0;
+  last_update_time_ = 0.0;
   cached_global_.reset();
   cached_version_ = 0;
-  return true;
+  canonical_replica_.Reset(0);
 }
 
 void MgddLeafNode::ResetVolatileState() {
@@ -214,16 +280,8 @@ void MgddLeafNode::ResetVolatileState() {
   rng_ = boot;
   validator_ = IngestValidator(options_.ingest);
   stuck_ = StuckSensorDetector(options_.ingest.stuck_run_threshold);
-  global_sample_.clear();
-  slot_valid_.clear();
-  valid_slots_ = 0;
-  global_stddevs_.clear();
-  updates_received_ = 0;
-  replica_version_ = 0;
-  last_update_time_ = 0.0;
+  ClearReplica();
   degraded_state_ = false;
-  cached_global_.reset();
-  cached_version_ = 0;
   recovering_ = false;
   restart_time_ = 0.0;
 }
@@ -256,25 +314,20 @@ bool MgddLeafNode::degraded() const {
 const KernelDensityEstimator& MgddLeafNode::GlobalEstimator() const {
   SENSORD_CHECK(HasGlobalModel());
   if (!cached_global_.has_value() || cached_version_ != replica_version_) {
-    // The zero per-point-allocation rebuild of DensityModel::Estimator():
-    // the valid slots go straight into the warm scratch buffer, and the
-    // displaced estimator's buffers become the next rebuild's scratch.
-    const size_t d = global_stddevs_.size();
-    FlatPoints& rows = replica_scratch_.sample;
-    rows.Reset(d);
-    rows.Reserve(global_sample_.size());
-    for (size_t i = 0; i < global_sample_.size(); ++i) {
-      if (!slot_valid_[i]) continue;
-      SENSORD_CHECK_EQ(global_sample_[i].size(), d);
-      rows.Append(global_sample_[i]);
-    }
-    auto built = KernelDensityEstimator::CreateWithScottBandwidths(
-        std::move(replica_scratch_), global_stddevs_);
-    SENSORD_CHECK_OK(built.status());
-    if (cached_global_.has_value()) {
-      replica_scratch_ = std::move(*cached_global_).ReleaseSampleStorage();
-    }
-    cached_global_.emplace(std::move(built).value());
+    // DensityModel::Estimator()'s rebuild: from the patched canonical copy,
+    // or, once it has been dropped, from the valid slots in slot order.
+    KernelDensityEstimator::RebuildCanonical(
+        &cached_global_, &canonical_replica_, global_stddevs_,
+        [this](FlatPoints* rows) {
+          const size_t d = global_slots_.dimensions();
+          rows->Reset(d);
+          rows->Reserve(valid_slots_);
+          for (size_t i = 0; i < global_slots_.size(); ++i) {
+            const double* row = global_slots_.Row(i);
+            if (std::isnan(row[0])) continue;
+            std::copy(row, row + d, rows->AppendRow());
+          }
+        });
     cached_version_ = replica_version_;
   }
   return *cached_global_;
@@ -350,21 +403,24 @@ void MgddInternalNode::HandleSampleValue(const Point& value) {
 }
 
 void MgddInternalNode::MaybeOriginateUpdate() {
-  const std::vector<Point> snapshot = model_.sample().Snapshot();
+  const ChainSample& sample = model_.sample();
   GlobalModelUpdatePayload payload;
   payload.stddevs = model_.BandwidthSpreads();
 
   if (options_.update_mode == GlobalUpdateMode::kEveryChange) {
-    // Diff the replicated slots against what was last broadcast.
-    if (last_broadcast_sample_.size() != snapshot.size()) {
-      last_broadcast_sample_.assign(snapshot.size(), Point{});
+    // Diff the replicated slots against what was last broadcast, by value
+    // (so -0.0 and 0.0 compare equal).
+    const size_t d = options_.model.dimensions;
+    if (last_broadcast_.size() != sample.sample_size()) {
+      ResetToNaNRows(sample.sample_size(), d, &last_broadcast_);
     }
-    for (size_t i = 0; i < snapshot.size(); ++i) {
-      if (last_broadcast_sample_[i] != snapshot[i]) {
-        payload.updates.push_back(
-            GlobalSlotUpdate{static_cast<uint32_t>(i), snapshot[i]});
-        last_broadcast_sample_[i] = snapshot[i];
-      }
+    for (size_t i = 0; i < sample.sample_size(); ++i) {
+      const PointView now = sample.ActiveElement(i);
+      double* last = last_broadcast_.MutableRow(i);
+      if (std::equal(now.begin(), now.end(), last)) continue;
+      payload.updates.push_back(
+          GlobalSlotUpdate{static_cast<uint32_t>(i), now.ToPoint()});
+      std::copy(now.begin(), now.end(), last);
     }
     if (payload.updates.empty()) return;
   } else {
@@ -379,7 +435,7 @@ void MgddInternalNode::MaybeOriginateUpdate() {
         return;
       }
     }
-    AppendEverySlot(snapshot, &payload);
+    AppendEverySlot(sample, &payload);
     last_pushed_estimator_ = model_.Estimator();
   }
   OriginateUpdate(&payload);
@@ -388,12 +444,11 @@ void MgddInternalNode::MaybeOriginateUpdate() {
 void MgddInternalNode::BroadcastFullSnapshot() {
   if (!model_.Ready()) return;  // nothing to push yet
   RejoinTelemetry().resyncs->Increment();
-  const std::vector<Point> snapshot = model_.sample().Snapshot();
   GlobalModelUpdatePayload payload;
   payload.stddevs = model_.BandwidthSpreads();
-  AppendEverySlot(snapshot, &payload);
+  AppendEverySlot(model_.sample(), &payload);
   // Keep the diff baseline in step with what the replicas now hold.
-  last_broadcast_sample_ = snapshot;
+  model_.sample().SnapshotTo(&last_broadcast_);
   OriginateUpdate(&payload);
 }
 
@@ -430,7 +485,7 @@ bool MgddInternalNode::RestoreState(const std::vector<uint8_t>& bytes) {
   // The checkpoint predates the crash, so the replicas below may hold newer
   // slots than this model does. An empty diff baseline (and no last-pushed
   // estimator) forces the next originated update to cover every slot.
-  last_broadcast_sample_.clear();
+  last_broadcast_.Reset(0);
   last_pushed_estimator_.reset();
   last_sample_version_ = model_.sample().version();
   return true;
@@ -440,7 +495,7 @@ void MgddInternalNode::ResetVolatileState() {
   Rng boot = boot_rng_;
   model_ = DensityModel(options_.model, boot.Split());
   rng_ = boot;
-  last_broadcast_sample_.clear();
+  last_broadcast_.Reset(0);
   last_pushed_estimator_.reset();
   update_version_ = 0;
   last_sample_version_ = 0;

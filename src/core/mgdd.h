@@ -21,6 +21,15 @@
 // Replica consistency: the root replicates its sample as a fixed array of
 // |R^g| slots (slot i = chain i's active element) and broadcasts slot
 // diffs, so every leaf holds an exact copy of the root's current sample.
+// A leaf keeps the slots in a flat table plus a copy of the valid rows in
+// its cached estimator's canonical order, which each slot diff patches in
+// place (the old value departs, the new one arrives; DESIGN.md §13): a
+// replica rebuild then checks that order in O(|R^g|·d) instead of copying
+// and sorting every slot. An update that makes a slot valid (warm-up) or
+// carries every slot (a resync, kOnModelChange) drops the copy, and the
+// next rebuild sorts once, as does the first rebuild after a restore.
+// Updates whose sigmas or slot values are not finite and well-shaped are
+// dropped whole, so the replica always holds an order-able sample.
 
 #ifndef SENSORD_CORE_MGDD_H_
 #define SENSORD_CORE_MGDD_H_
@@ -41,6 +50,7 @@
 #include "net/network.h"
 #include "net/node.h"
 #include "stats/kde.h"
+#include "util/flat_points.h"
 #include "util/rng.h"
 
 namespace sensord {
@@ -114,6 +124,12 @@ class MgddLeafNode : public Node {
   /// The replica's current estimator. Pre: HasGlobalModel().
   const KernelDensityEstimator& GlobalEstimator() const;
 
+  /// The replica's valid slots in the cached estimator's canonical order,
+  /// as patched by each slot diff; empty while not maintained (before the
+  /// first GlobalEstimator() call, after an update that made a slot valid
+  /// or carried every slot, and after a restore or reset).
+  const FlatPoints& canonical_replica() const { return canonical_replica_; }
+
   /// Number of global updates applied (for experiments).
   uint64_t global_updates_received() const { return updates_received_; }
 
@@ -125,6 +141,8 @@ class MgddLeafNode : public Node {
  private:
   // Closes the recovery window once the leaf is capable again.
   void MaybeFinishRecovery();
+  // Drops the replica, its estimator and the canonical copy.
+  void ClearReplica();
 
   MgddOptions options_;
   Rng boot_rng_;  // construction-time rng, replayed by ResetVolatileState
@@ -137,10 +155,11 @@ class MgddLeafNode : public Node {
   bool recovering_ = false;
   SimTime restart_time_ = 0.0;
 
-  // Replica of the root's sample and sigmas.
-  std::vector<Point> global_sample_;  // indexed by slot; may be sparse early
-  std::vector<bool> slot_valid_;
-  size_t valid_slots_ = 0;  // count of true entries in slot_valid_
+  // Replica of the root's sample and sigmas: one row per slot, empty until
+  // the first update; a slot no update has filled yet is a row of NaNs
+  // (updates carry finite values only).
+  FlatPoints global_slots_;
+  size_t valid_slots_ = 0;  // rows of global_slots_ that hold a value
   std::vector<double> global_stddevs_;
   uint64_t updates_received_ = 0;
   uint64_t replica_version_ = 0;
@@ -149,8 +168,11 @@ class MgddLeafNode : public Node {
 
   mutable std::optional<KernelDensityEstimator> cached_global_;
   mutable uint64_t cached_version_ = 0;
-  // GlobalEstimator()'s rebuild buffers.
-  mutable KernelDensityEstimator::SampleStorage replica_scratch_;
+  // The valid slot rows in cached_global_'s canonical order, or empty while
+  // not maintained: GlobalEstimator() starts it, HandleMessage() patches it
+  // per slot diff, and a warm-up slot, a full-slot update or a restore
+  // drops it (see the header comment).
+  mutable FlatPoints canonical_replica_;
 };
 
 /// A leader node running MGDD's BlackProcess: relays sample values upward
@@ -189,8 +211,10 @@ class MgddInternalNode : public Node {
   DensityModel model_;
   Rng rng_;
 
-  // Root bookkeeping: the sample as last broadcast, slot by slot.
-  std::vector<Point> last_broadcast_sample_;
+  // Root bookkeeping: the sample as last broadcast, one row per slot; empty
+  // before the first broadcast and after a restore, and a row of NaNs for a
+  // slot not broadcast since (NaN equals nothing, so the next diff sends it).
+  FlatPoints last_broadcast_;
   std::optional<KernelDensityEstimator> last_pushed_estimator_;
   uint64_t update_version_ = 0;
   uint64_t last_sample_version_ = 0;

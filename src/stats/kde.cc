@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -287,6 +288,44 @@ bool KernelDensityEstimator::SumBlocksIfSorted() {
     if (CanonicalLess(t + row, t + row - 1, 1, 0)) return false;
   }
   return true;
+}
+
+void KernelDensityEstimator::ReplaceCanonicalRow(const double* departed,
+                                                 const double* arrived,
+                                                 size_t axis,
+                                                 FlatPoints* rows) {
+  const size_t d = rows->dimensions();
+  const size_t n = rows->size();
+  // First row in [begin, end) that is not canonically less than `key`.
+  const auto lower_bound = [rows, d, axis](size_t begin, size_t end,
+                                           const double* key) {
+    while (begin < end) {
+      const size_t mid = begin + (end - begin) / 2;
+      if (CanonicalLess(rows->Row(mid), key, d, axis)) {
+        begin = mid + 1;
+      } else {
+        end = mid;
+      }
+    }
+    return begin;
+  };
+  double* data = rows->mutable_data()->data();
+  const size_t from = lower_bound(0, n, departed);
+  SENSORD_CHECK(from < n &&
+                std::memcmp(data + from * d, departed, d * sizeof(double)) ==
+                    0 &&
+                "maintained canonical sample lost a departed row");
+  // Slide the rows between the departed row's slot and the arrived row's
+  // slot over by one, then write the arrived row into the freed slot.
+  size_t to;
+  if (CanonicalLess(arrived, departed, d, axis)) {
+    to = lower_bound(0, from, arrived);
+    std::copy_backward(data + to * d, data + from * d, data + (from + 1) * d);
+  } else {
+    to = lower_bound(from + 1, n, arrived) - 1;
+    std::copy(data + (from + 1) * d, data + (to + 1) * d, data + from * d);
+  }
+  std::copy(arrived, arrived + d, data + to * d);
 }
 
 std::vector<double> KernelDensityEstimator::bandwidths() const {

@@ -32,8 +32,9 @@
 // GridCellMasses(), is invisible in the bits: a memoised cell holds exactly
 // the value a fresh computation gives, and the memo dies with the estimator,
 // so a rebuild never sees a stale one (DESIGN.md §13). A rebuild
-// is cheap because DensityModel keeps its own copy of the sample in
-// canonical order as the sample changes: Create() checks the order in
+// is cheap because DensityModel, and an MGDD leaf for its global replica,
+// keep their own copy of the sample in canonical order as it changes
+// (ReplaceCanonicalRow, RebuildCanonical): Create() checks the order in
 // O(|R|·d) — in 1-d summing the blocks in the same pass — and sorts only a
 // sample that is not already canonical. The SampleStorage Create() overload
 // plus ReleaseSampleStorage() let the rebuild path recycle the retiring
@@ -47,12 +48,14 @@
 #include <cstdint>
 #include <initializer_list>
 #include <memory>
+#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
 
 #include "stats/estimator.h"
 #include "stats/kernel.h"
+#include "util/check.h"
 #include "util/flat_points.h"
 #include "util/math_utils.h"
 #include "util/status.h"
@@ -153,6 +156,53 @@ class KernelDensityEstimator : public DistributionEstimator {
       }
     }
     return false;
+  }
+
+  /// Replaces the row `departed` of the canonically ordered `rows` with the
+  /// row `arrived`, keeping the order on `axis`: binary-searches the
+  /// departed row, CHECKs that the row found is bit-equal to it, slides the
+  /// rows between its slot and the arrived row's slot over by one, and
+  /// writes the arrived row into the freed slot. O(log|R| + d·moved rows),
+  /// and `rows` never reallocates. Pre: `rows` is canonical on `axis` and
+  /// holds `departed`; `arrived` has `rows->dimensions()` finite
+  /// coordinates.
+  static void ReplaceCanonicalRow(const double* departed,
+                                  const double* arrived, size_t axis,
+                                  FlatPoints* rows);
+
+  /// One rebuild of an estimator cache that keeps a copy of its sample in
+  /// canonical order (DESIGN.md §13). Replaces `*cached` with an estimator
+  /// over `*canonical` — or, while `*canonical` is empty, over the rows
+  /// `fill(FlatPoints*)` writes — with Scott's-rule bandwidths from
+  /// `spreads`, built in the retiring estimator's recycled storage, so a
+  /// warm rebuild allocates nothing per row. Create() finds a maintained
+  /// copy already sorted unless the primary axis moved. Afterwards
+  /// `*canonical` holds the new estimator's order: a fresh start or a moved
+  /// axis copies it from the estimator. Pre: the rows and `spreads` are
+  /// valid CreateWithScottBandwidths() inputs.
+  template <typename Fill>
+  static void RebuildCanonical(std::optional<KernelDensityEstimator>* cached,
+                               FlatPoints* canonical,
+                               const std::vector<double>& spreads,
+                               Fill fill) {
+    const bool maintained = !canonical->empty();
+    size_t axis = 0;
+    SampleStorage storage;
+    if (cached->has_value()) {
+      axis = (*cached)->primary_axis();
+      storage = std::move(**cached).ReleaseSampleStorage();
+    }
+    if (maintained) {
+      storage.sample = *canonical;
+    } else {
+      fill(&storage.sample);
+    }
+    auto built = CreateWithScottBandwidths(std::move(storage), spreads);
+    SENSORD_CHECK_OK(built.status());
+    cached->emplace(std::move(built).value());
+    if (!maintained || (*cached)->primary_axis() != axis) {
+      *canonical = (*cached)->sample();
+    }
   }
 
   /// The axis the canonical order sorts by and queries prune on: the axis

@@ -103,6 +103,10 @@ class FlatPoints {
     SENSORD_DCHECK_LT(row, size());
     return coords_.data() + row * dimensions_;
   }
+  double* MutableRow(size_t row) {
+    SENSORD_DCHECK_LT(row, size());
+    return coords_.data() + row * dimensions_;
+  }
   PointView View(size_t row) const {
     return PointView(Row(row), dimensions_);
   }

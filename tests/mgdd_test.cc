@@ -1,6 +1,9 @@
 #include "core/mgdd.h"
 
+#include <cmath>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -8,6 +11,7 @@
 
 #include "core/d3.h"  // LeaderModelConfig
 #include "core/protocol.h"
+#include "core/snapshot.h"
 #include "stats/bandwidth.h"
 #include "net/hierarchy.h"
 #include "net/network.h"
@@ -303,19 +307,27 @@ TEST(MgddTest, UpdateWithNoValidSlotLeavesNoGlobalModel) {
 }
 
 TEST(MgddTest, UpdateOfWrongDimensionalityIsDropped) {
-  // A sigma vector or a slot point of the wrong size is dropped whole and
-  // counted; a well-formed update afterwards arms the detector.
+  // An update the replica cannot hold is dropped whole and counted, and a
+  // well-formed update afterwards arms the detector. Variants: a sigma
+  // vector of the wrong size, a slot point of the wrong size, a NaN sigma,
+  // a negative sigma, and an infinite slot coordinate (which has no place
+  // in the canonical order).
   const MgddOptions opts = CraftedUpdateOptions();
   obs::Counter* malformed = obs::MetricsRegistry::Global().GetCounter(
       "core.mgdd.leaf.updates_malformed");
-  for (int variant = 0; variant < 2; ++variant) {
+  const double inf = std::numeric_limits<double>::infinity();
+  for (int variant = 0; variant < 5; ++variant) {
     MgddFixture fx(opts);
     GlobalModelUpdatePayload bad;
-    bad.stddevs = variant == 0 ? std::vector<double>{0.1}
-                               : std::vector<double>{0.1, 0.1};
+    bad.stddevs = {0.1, 0.1};
+    if (variant == 0) bad.stddevs = {0.1};
+    if (variant == 2) bad.stddevs[1] = std::nan("");
+    if (variant == 3) bad.stddevs[0] = -0.1;
     bad.updates.push_back(GlobalSlotUpdate{0, {0.4, 0.4}});
-    bad.updates.push_back(
-        GlobalSlotUpdate{1, variant == 1 ? Point{0.4} : Point{0.41, 0.4}});
+    Point second = {0.41, 0.4};
+    if (variant == 1) second = {0.4};
+    if (variant == 4) second[1] = inf;
+    bad.updates.push_back(GlobalSlotUpdate{1, second});
     const uint64_t before = malformed->value();
     DeliverUpdate(fx, 0, std::move(bad));
     EXPECT_EQ(malformed->value(), before + 1) << "variant " << variant;
@@ -336,6 +348,117 @@ TEST(MgddTest, UpdateOfWrongDimensionalityIsDropped) {
     EXPECT_EQ(leaf.GlobalEstimator().sample_size(), 50u);
     FeedLeaf(fx, 10);
   }
+}
+
+// The MGDD leaf checkpoint's payload version (kMgddLeafSnapshotVersion in
+// core/mgdd.cc); each restore test below first restores a well-formed
+// checkpoint, so a version bump fails loudly there.
+constexpr uint32_t kLeafSnapshotVersion = 3;
+
+// A checksummed leaf checkpoint over a fresh local model of `opts` whose
+// replica is `slots` (nullopt: a slot no update has filled) and `stddevs`.
+std::vector<uint8_t> LeafCheckpoint(
+    const MgddOptions& opts, const std::vector<std::optional<Point>>& slots,
+    const std::vector<double>& stddevs) {
+  SnapshotWriter writer;
+  DensityModel(opts.model, Rng(1)).Serialize(&writer);
+  writer.PutRng(Rng(2));
+  writer.PutU32(static_cast<uint32_t>(slots.size()));
+  for (const std::optional<Point>& slot : slots) {
+    writer.PutBool(slot.has_value());
+    writer.PutPoint(slot.value_or(Point{}));
+  }
+  writer.PutDoubles(stddevs);
+  writer.PutU64(/*replica_version=*/1);
+  writer.PutU64(/*updates_received=*/1);
+  writer.PutDouble(/*last_update_time=*/0.0);
+  return std::move(writer).Finish(kLeafSnapshotVersion);
+}
+
+// The full slot table of a 2-d leaf: every slot valid.
+std::vector<std::optional<Point>> FullReplica(const MgddOptions& opts) {
+  std::vector<std::optional<Point>> slots;
+  for (size_t i = 0; i < opts.model.sample_size; ++i) {
+    const double step = 0.002 * static_cast<double>(i);
+    slots.push_back(Point{0.3 + step, 0.5 - step});
+  }
+  return slots;
+}
+
+// Restores `bytes` into leaf 0 of a fresh fixture after checking that the
+// well-formed FullReplica checkpoint restores; returns the bad restore's
+// result, and checks the refused leaf holds no replica and keeps running.
+bool RestoreIntoLeaf(const MgddOptions& opts,
+                     const std::vector<uint8_t>& bytes) {
+  MgddFixture fx(opts);
+  auto& leaf = static_cast<MgddLeafNode&>(fx.sim.node(fx.ids[0]));
+  EXPECT_TRUE(leaf.RestoreState(
+      LeafCheckpoint(opts, FullReplica(opts), {0.1, 0.1})));
+  EXPECT_EQ(leaf.GlobalEstimator().sample_size(), opts.model.sample_size);
+  const bool restored = leaf.RestoreState(bytes);
+  if (!restored) {
+    EXPECT_FALSE(leaf.HasGlobalModel());
+    FeedLeaf(fx, 300);  // must not abort
+  }
+  return restored;
+}
+
+TEST(MgddTest, RestoreRejectsSlotCountOtherThanSampleSize) {
+  // A replica with more or fewer slots than the root has chains would
+  // ignore the slots beyond it forever. No slots at all is a leaf that
+  // never heard from the root.
+  const MgddOptions opts = CraftedUpdateOptions();
+  std::vector<std::optional<Point>> slots = FullReplica(opts);
+  slots.pop_back();
+  EXPECT_FALSE(RestoreIntoLeaf(opts, LeafCheckpoint(opts, slots, {0.1, 0.1})));
+  slots = FullReplica(opts);
+  slots.push_back(Point{0.4, 0.4});
+  EXPECT_FALSE(RestoreIntoLeaf(opts, LeafCheckpoint(opts, slots, {0.1, 0.1})));
+  EXPECT_TRUE(RestoreIntoLeaf(opts, LeafCheckpoint(opts, {}, {})));
+}
+
+TEST(MgddTest, RestoreRejectsSlotThatDoesNotFitTheLeaf) {
+  // A valid slot needs d finite coordinates; an invalid one may hold
+  // anything, since it is never read.
+  const MgddOptions opts = CraftedUpdateOptions();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const Point& bad : {Point{0.4}, Point{0.4, 0.4, 0.4},
+                           Point{std::nan(""), 0.4}, Point{0.4, -inf}}) {
+    std::vector<std::optional<Point>> slots = FullReplica(opts);
+    slots[7] = bad;
+    EXPECT_FALSE(
+        RestoreIntoLeaf(opts, LeafCheckpoint(opts, slots, {0.1, 0.1})))
+        << "slot of size " << bad.size();
+  }
+  std::vector<std::optional<Point>> slots = FullReplica(opts);
+  slots[7] = std::nullopt;
+  EXPECT_TRUE(RestoreIntoLeaf(opts, LeafCheckpoint(opts, slots, {0.1, 0.1})));
+}
+
+TEST(MgddTest, RestoreRejectsSigmasOfWrongSize) {
+  const MgddOptions opts = CraftedUpdateOptions();
+  for (const std::vector<double>& sigmas :
+       {std::vector<double>{}, std::vector<double>{0.1},
+        std::vector<double>{0.1, 0.1, 0.1}}) {
+    EXPECT_FALSE(
+        RestoreIntoLeaf(opts, LeafCheckpoint(opts, FullReplica(opts), sigmas)))
+        << sigmas.size() << " sigmas";
+  }
+  // An empty replica carries no sigmas either.
+  EXPECT_FALSE(RestoreIntoLeaf(opts, LeafCheckpoint(opts, {}, {0.1, 0.1})));
+}
+
+TEST(MgddTest, RestoreRejectsNegativeOrNonFiniteSigma) {
+  const MgddOptions opts = CraftedUpdateOptions();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double sigma : {-0.1, std::nan(""), inf}) {
+    EXPECT_FALSE(RestoreIntoLeaf(
+        opts, LeafCheckpoint(opts, FullReplica(opts), {0.1, sigma})))
+        << "sigma " << sigma;
+  }
+  // A zero sigma is a constant stream's; Scott's rule floors it.
+  EXPECT_TRUE(RestoreIntoLeaf(
+      opts, LeafCheckpoint(opts, FullReplica(opts), {0.0, 0.1})));
 }
 
 }  // namespace

@@ -1230,5 +1230,152 @@ TEST_P(CanonicalSampleBitIdentityTest, MaintainedOrderMatchesFreshSort) {
 INSTANTIATE_TEST_SUITE_P(Dims, CanonicalSampleBitIdentityTest,
                          ::testing::Values(1, 2, 3));
 
+// ---------------------------------------------------------------------
+// An MGDD leaf keeps its global replica the way DensityModel keeps its
+// sample: a copy of the valid slots in the cached estimator's canonical
+// order, patched per slot diff (DESIGN.md §13). After every update the
+// replica's estimator must equal, bit for bit, one built afresh from the
+// valid slots in slot order — through warm-up slots turning valid, 1-3
+// slot diffs over heavy duplicates and ±0.0, sigma changes that move the
+// primary axis, full snapshots, out-of-range slots and a mid-sequence
+// SaveState/RestoreState.
+// ---------------------------------------------------------------------
+
+class MgddReplicaBitIdentityTest : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(MgddReplicaBitIdentityTest, PatchedReplicaMatchesFreshBuild) {
+  const size_t d = GetParam();
+  uint64_t patched_rebuilds = 0;
+  for (uint64_t seed = 1; seed <= 50; ++seed) {
+    Rng rng(seed * 6151 + d);
+    MgddOptions opts;
+    opts.model.dimensions = d;
+    opts.model.sample_size = 16 + rng.UniformUint64(33);
+    const size_t slots = opts.model.sample_size;
+    Simulator sim;
+    const auto layout = BuildGridHierarchy(2, 2);
+    ASSERT_TRUE(layout.ok());
+    const std::vector<NodeId> ids = sim.Instantiate(
+        *layout, [&](int, const HierarchyNodeSpec& spec)
+                     -> std::unique_ptr<Node> {
+          if (spec.level == 1) {
+            return std::make_unique<MgddLeafNode>(opts, rng.Split(), nullptr);
+          }
+          return std::make_unique<MgddInternalNode>(opts, rng.Split());
+        });
+    auto& leaf = static_cast<MgddLeafNode&>(sim.node(ids[0]));
+    const NodeId root = ids.back();
+    const std::string where = "seed " + std::to_string(seed);
+
+    // What the leaf must hold: the slots (nullopt = never filled) and the
+    // latest sigmas. Sigmas alternate which axis is narrowest, and the
+    // narrowest axis (largest spread / bandwidth) is the primary one.
+    std::vector<std::optional<Point>> mirror(slots);
+    std::vector<double> sigmas(d, 0.2);
+    const auto flip_sigmas = [&] {
+      for (size_t i = 0; i < d; ++i) sigmas[i] = sigmas[i] == 0.2 ? 0.05 : 0.2;
+      if (d > 1) sigmas[rng.UniformUint64(d)] = 0.05;
+    };
+    flip_sigmas();
+    const size_t steps = 4 * slots;
+    const size_t save_at = slots + rng.UniformUint64(slots);
+    const size_t restore_at = save_at + 1 + rng.UniformUint64(slots);
+    std::vector<uint8_t> checkpoint;
+    std::vector<std::optional<Point>> saved_mirror;
+    std::vector<double> saved_sigmas;
+    size_t axis_flips = 0;
+    std::optional<size_t> axis;
+
+    for (size_t step = 0; step < steps; ++step) {
+      std::vector<GlobalSlotUpdate> diff;
+      bool full = false;
+      if (step % 23 == 22) flip_sigmas();
+      if (step < slots / 2) {
+        // Warm-up: 1-3 slots, any of which may still be empty.
+        for (uint64_t k = 1 + rng.UniformUint64(3); k > 0; --k) {
+          diff.push_back(GlobalSlotUpdate{
+              static_cast<uint32_t>(rng.UniformUint64(slots)),
+              CanonicalStressReading(d, step % 2, &rng)});
+        }
+      } else if (step == slots / 2 || step % 37 == 36) {
+        // A full snapshot (a resync) fills every slot.
+        full = true;
+        for (size_t i = 0; i < slots; ++i) {
+          diff.push_back(GlobalSlotUpdate{static_cast<uint32_t>(i),
+                                          CanonicalStressReading(d, 0, &rng)});
+        }
+      } else {
+        // A steady-state diff of 1-3 slots, sometimes naming the same slot
+        // twice or a slot past the end.
+        for (uint64_t k = 1 + rng.UniformUint64(3); k > 0; --k) {
+          const uint32_t slot = static_cast<uint32_t>(
+              rng.Bernoulli(0.05) ? slots + rng.UniformUint64(4)
+                                  : rng.UniformUint64(slots));
+          diff.push_back(GlobalSlotUpdate{
+              slot, CanonicalStressReading(d, step % 2, &rng)});
+        }
+      }
+      bool grows = false;
+      for (const GlobalSlotUpdate& u : diff) {
+        if (u.slot >= slots) continue;
+        grows = grows || !mirror[u.slot].has_value();
+        mirror[u.slot] = u.value;
+      }
+      const bool maintained = !leaf.canonical_replica().empty();
+      DeliverReplica(&leaf, root, diff, sigmas);
+      if (full || grows) {
+        ASSERT_TRUE(leaf.canonical_replica().empty())
+            << where << " step " << step
+            << ": a full or growing update must drop the canonical copy";
+      }
+
+      if (step == save_at) {
+        checkpoint = leaf.SaveState();
+        saved_mirror = mirror;
+        saved_sigmas = sigmas;
+      } else if (step == restore_at) {
+        leaf.ResetVolatileState();
+        ASSERT_TRUE(leaf.RestoreState(checkpoint)) << where;
+        ASSERT_TRUE(leaf.canonical_replica().empty())
+            << where << ": a restore must drop the canonical copy";
+        mirror = saved_mirror;
+        sigmas = saved_sigmas;
+      }
+
+      std::vector<Point> valid;
+      for (const std::optional<Point>& slot : mirror) {
+        if (slot.has_value()) valid.push_back(*slot);
+      }
+      ASSERT_EQ(leaf.HasGlobalModel(), !valid.empty()) << where;
+      if (valid.empty()) continue;
+      const auto reference =
+          KernelDensityEstimator::CreateWithScottBandwidths(valid, sigmas);
+      ASSERT_TRUE(reference.ok());
+      const KernelDensityEstimator& est = leaf.GlobalEstimator();
+      if (maintained && !full && !grows && step != restore_at) {
+        ++patched_rebuilds;
+      }
+      ASSERT_EQ(est.primary_axis(), reference->primary_axis())
+          << where << " step " << step;
+      ASSERT_EQ(est.bandwidths(), reference->bandwidths())
+          << where << " step " << step;
+      ASSERT_TRUE(BitEqual(est.sample(), reference->sample()))
+          << "replica diverged at " << where << " d " << d << " step "
+          << step;
+      ASSERT_TRUE(BitEqual(leaf.canonical_replica(), est.sample()))
+          << where << " step " << step;
+      if (axis.has_value() && *axis != est.primary_axis()) ++axis_flips;
+      axis = est.primary_axis();
+    }
+    if (d > 1) {
+      EXPECT_GE(axis_flips, 1u) << "primary axis never moved, " << where;
+    }
+  }
+  EXPECT_GT(patched_rebuilds, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Dims, MgddReplicaBitIdentityTest,
+                         ::testing::Values(1, 2, 3));
+
 }  // namespace
 }  // namespace sensord
