@@ -1,11 +1,12 @@
 // Micro-benchmarks (google-benchmark) for the paper's per-operation cost
 // claims: O(d|R|) box range queries — a closed form in 1-d — cheap chain
 // sample and variance sketch updates (Theorems 1, 2, 4), estimator
-// rebuilds, MGDD replica updates, MDEF evaluation, and JS divergence on a
-// grid. The BM_Obs* group holds the obs layer to its budget: counter
-// updates and histogram records in single-digit nanoseconds, disabled
-// instrumentation at zero allocations per event (reported as the
-// allocs_per_op counter via the operator new override below).
+// rebuilds, MGDD replica updates, MDEF evaluation, JS divergence on a grid,
+// and a fleet of models' per-reading cost and memory. The BM_Obs* group
+// holds the obs layer to its budget: counter updates and histogram records
+// in single-digit nanoseconds, disabled instrumentation at zero allocations
+// per event (reported as the allocs_per_op counter via the operator new
+// override below).
 
 #include <benchmark/benchmark.h>
 
@@ -583,6 +584,69 @@ void BM_DensityModelRebuild1d(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_DensityModelRebuild1d)->Arg(500);
+
+// A fleet of sensors' per-reading model work: DensityModel::Observe round
+// robin over 1,000 warmed 1-d models, as the simulator feeds its leaves,
+// at traffic_768's leaf sizes (|W| = 1024, |R| = 102) and d3_1d's
+// (|W| = 10000, |R| = 500). Every call touches a different model, so the
+// time per iteration (ns per reading) includes the cache misses that one
+// warm model hides; resident_bytes_per_model is the fleet's mean
+// DensityModel::ResidentBytes(), which scripts/bench.sh caps at traffic_768's
+// sizes. No estimator is built (traffic_768 runs with detection off).
+void BM_FleetObserve(benchmark::State& state) {
+  constexpr size_t kModels = 1000;
+  struct Fleet {
+    size_t window = 0, sample = 0;
+    std::vector<std::unique_ptr<DensityModel>> models;
+  };
+  // One fleet at a time, kept across the calls that size the run.
+  static std::unique_ptr<Fleet> fleet;
+  const size_t window = static_cast<size_t>(state.range(0));
+  const size_t sample = static_cast<size_t>(state.range(1));
+  Rng values(23);
+  std::vector<double> readings(4096);
+  for (double& x : readings) x = Clamp(values.Gaussian(0.4, 0.05), 0.0, 1.0);
+  Point p(1);  // reused so feeding itself does not allocate
+  size_t next = 0;
+  if (!fleet || fleet->window != window || fleet->sample != sample) {
+    fleet.reset();  // free the previous fleet before building the next
+    fleet = std::make_unique<Fleet>();
+    fleet->window = window;
+    fleet->sample = sample;
+    DensityModelConfig cfg;
+    cfg.window_size = window;
+    cfg.sample_size = sample;
+    Rng seeds(22);
+    for (size_t m = 0; m < kModels; ++m) {
+      fleet->models.push_back(
+          std::make_unique<DensityModel>(cfg, seeds.Split()));
+    }
+    // One window plus perf_bench's settle rounds, round robin.
+    for (size_t r = 0; r < window + 256; ++r) {
+      for (const auto& model : fleet->models) {
+        p[0] = readings[next];
+        next = (next + 1) % readings.size();
+        model->Observe(p);
+      }
+    }
+  }
+  size_t m = 0;
+  for (auto _ : state) {
+    p[0] = readings[next];
+    next = (next + 1) % readings.size();
+    benchmark::DoNotOptimize(fleet->models[m]->Observe(p));
+    m = m + 1 == kModels ? 0 : m + 1;
+  }
+  size_t bytes = 0;
+  for (const auto& model : fleet->models) bytes += model->ResidentBytes();
+  state.counters["resident_bytes_per_model"] =
+      static_cast<double>(bytes) / static_cast<double>(kModels);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_FleetObserve)
+    ->ArgNames({"W", "R"})
+    ->Args({1024, 102})
+    ->Args({10000, 500});
 
 // --- obs layer overhead -----------------------------------------------------
 

@@ -40,7 +40,7 @@ echo "=== bench.sh [1/5] micro_benchmarks -> ${OUT_DIR}/BENCH_micro.json ==="
 # still runs when SENSORD_QUICK=0.
 FILTER=""
 if [ "${SENSORD_QUICK}" != "0" ]; then
-  FILTER="--benchmark_filter=(BM_Obs.*|BM_ChainSampleAdd/128|BM_KdeBoxQuery1d/500|BM_KdeBoxQueryPruned2d/512|BM_KdeBoxQueryPruned3d/512|BM_MdefEvaluation2dScott(Cold|PerVersion)?/512|BM_DensityModelRebuild/(512|2048)|BM_DensityModelRebuild1d/500|BM_MgddReplicaUpdate/(128|512)|BM_VarianceSketch(Add|AddStdDev|StdDev)/10000)"
+  FILTER="--benchmark_filter=(BM_Obs.*|BM_ChainSampleAdd/128|BM_KdeBoxQuery1d/500|BM_KdeBoxQueryPruned2d/512|BM_KdeBoxQueryPruned3d/512|BM_MdefEvaluation2dScott(Cold|PerVersion)?/512|BM_DensityModelRebuild/(512|2048)|BM_DensityModelRebuild1d/500|BM_MgddReplicaUpdate/(128|512)|BM_VarianceSketch(Add|AddStdDev|StdDev)/10000|BM_FleetObserve/W:1024/R:102)"
   export BENCHMARK_MIN_TIME="${BENCHMARK_MIN_TIME:-0.05}"
 fi
 build/release/bench/micro_benchmarks ${FILTER} \
@@ -144,6 +144,17 @@ for name in ("BM_VarianceSketchAdd/10000", "BM_VarianceSketchAddStdDev/10000"):
         sys.exit(f"bench.sh: {name} allocs_per_op is {per_op.get(name)}, "
                  f"not 0; a steady-state sketch update allocates")
     print(f"bench.sh: {name} allocs_per_op 0")
+# Per-model memory (DESIGN.md §14): a warmed 1-d model at traffic_768's
+# leaf sizes held 48,940 bytes once restarts unlinked their dead expiry
+# registrations (65,826 before). More than 10% above that is a regression.
+name = "BM_FleetObserve/W:1024/R:102"
+recorded = 48940
+resident = {b["name"]: b.get("resident_bytes_per_model")
+            for b in docs[sys.argv[1]]["benchmarks"]}.get(name)
+if resident is None or resident > 1.10 * recorded:
+    sys.exit(f"bench.sh: {name} resident_bytes_per_model is {resident}, "
+             f"more than 10% above {recorded}")
+print(f"bench.sh: {name} resident_bytes_per_model {resident:.0f}")
 EOF
 
 echo "bench.sh: done"

@@ -171,6 +171,18 @@ size_t DensityModel::MemoryBytes(size_t bytes_per_number) const {
   return bytes;
 }
 
+size_t DensityModel::ResidentBytes() const {
+  size_t bytes = sample_.ResidentBytes() +
+                 sketches_.capacity() * sizeof(VarianceSketch) +
+                 canonical_.ResidentBytes() +
+                 sample_changes_.departed.ResidentBytes() +
+                 sample_changes_.arrived.ResidentBytes() +
+                 coord_scratch_.capacity() * sizeof(double);
+  for (const VarianceSketch& s : sketches_) bytes += s.ResidentBytes();
+  if (cached_.has_value()) bytes += cached_->ResidentBytes();
+  return bytes;
+}
+
 size_t DensityModel::TheoreticalBoundBytes(size_t bytes_per_number) const {
   // Theorem 1: O(d(|R| + (1/eps^2) log |W|)). The sample term charges d+1
   // numbers per chain entry with the expected O(1) entries per chain taken

@@ -98,6 +98,11 @@ class DensityModel {
   /// under the paper's bytes-per-number accounting (Section 10.3).
   size_t MemoryBytes(size_t bytes_per_number) const;
 
+  /// Heap bytes the model holds on this machine: the chain sample's and the
+  /// sketches' buffers, the cached estimator, the maintained canonical
+  /// buffer and the reused change report and scratch, all by capacity.
+  size_t ResidentBytes() const;
+
   /// The Theorem 1 upper bound for the same accounting.
   size_t TheoreticalBoundBytes(size_t bytes_per_number) const;
 

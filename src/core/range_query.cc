@@ -1,7 +1,9 @@
 #include "core/range_query.h"
 
-#include "util/check.h"
+#include <algorithm>
+#include <cmath>
 
+#include "util/check.h"
 
 namespace sensord {
 
@@ -25,16 +27,27 @@ StatusOr<double> RangeQueryEngine::Average(size_t dim, const Point& lo,
                                            size_t slices) const {
   SENSORD_CHECK_LT(dim, estimator_->dimensions());
   SENSORD_CHECK_GE(slices, 1u);
-  const double width = (hi[dim] - lo[dim]) / static_cast<double>(slices);
-  if (width <= 0.0) {
+  if (!(hi[dim] > lo[dim])) {
     return Status::InvalidArgument("degenerate query box");
+  }
+  // Slice only the part of [lo, hi] that can hold mass: an infinite or
+  // far-off bound would otherwise stretch the slices past the data.
+  const auto [support_lo, support_hi] = estimator_->Support(dim);
+  const double from = std::max(lo[dim], support_lo);
+  const double to = std::min(hi[dim], support_hi);
+  if (!(to > from)) {
+    return Status::NotFound("query box holds no probability mass");
+  }
+  const double width = (to - from) / static_cast<double>(slices);
+  if (!std::isfinite(width)) {
+    return Status::InvalidArgument("unbounded query box");
   }
   // One box query per slice; the slices differ from [lo, hi] only on `dim`.
   Point slice_lo(lo), slice_hi(hi);
   double mass_total = 0.0;
   double weighted = 0.0;
   for (size_t s = 0; s < slices; ++s) {
-    slice_lo[dim] = lo[dim] + static_cast<double>(s) * width;
+    slice_lo[dim] = from + static_cast<double>(s) * width;
     slice_hi[dim] = slice_lo[dim] + width;
     const double mass = estimator_->BoxProbability(slice_lo, slice_hi);
     mass_total += mass;

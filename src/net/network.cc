@@ -257,19 +257,19 @@ void Simulator::SchedulePeriodicReadings(NodeId node, SimTime start,
   SENSORD_CHECK_LT(node, nodes_.size());
   SENSORD_CHECK_GT(period, 0.0);
   const size_t slot = periodic_.size();
-  periodic_.push_back(PeriodicSource{node, period, std::move(source)});
-  queue_.ScheduleAt(start,
-                    [this, slot, start]() { PeriodicTick(slot, start); });
+  periodic_.push_back(PeriodicSource{node, period, std::move(source), start});
+  queue_.ScheduleAt(start, [this, slot]() { PeriodicTick(slot); });
 }
 
-void Simulator::PeriodicTick(size_t slot, SimTime t) {
-  if (t > horizon_) return;
+void Simulator::PeriodicTick(size_t slot) {
   PeriodicSource& src = periodic_[slot];
+  if (src.next > horizon_) return;
+  src.next += src.period;
+  const SimTime next = src.next;
   // The generator always advances (keeps the data stream identical across
   // fault schedules); DeliverReading discards the value during a crash.
   DeliverReading(src.node, src.generate());
-  const SimTime next = t + src.period;
-  queue_.ScheduleAt(next, [this, slot, next]() { PeriodicTick(slot, next); });
+  queue_.ScheduleAt(next, [this, slot]() { PeriodicTick(slot); });
 }
 
 void Simulator::ScheduleAt(SimTime t, std::function<void()> fn) {

@@ -198,13 +198,17 @@ class Simulator {
  private:
   friend class ReliableTransport;
 
+  // The next tick time lives here rather than in the scheduled closure:
+  // [this, slot] fits std::function's inline buffer, so a tick allocates
+  // nothing.
   struct PeriodicSource {
     NodeId node;
     SimTime period;
     std::function<Point()> generate;
+    SimTime next;  // time of the scheduled tick
   };
 
-  void PeriodicTick(size_t slot, SimTime t);
+  void PeriodicTick(size_t slot);
 
   /// One physical transmission attempt: accounting, loss model, fault
   /// schedule, then delivery scheduling for each surviving copy.

@@ -17,6 +17,8 @@
 #define SENSORD_STATS_ESTIMATOR_H_
 
 #include <cstddef>
+#include <limits>
+#include <utility>
 
 #include "util/math_utils.h"
 
@@ -51,6 +53,14 @@ class DistributionEstimator {
 
   /// Density at point p.
   virtual double Pdf(const Point& p) const = 0;
+
+  /// An interval of axis `dim` outside which the distribution has no mass.
+  /// The default claims nothing: (-inf, inf).
+  /// Pre: dim < dimensions().
+  virtual std::pair<double, double> Support(size_t /*dim*/) const {
+    return {-std::numeric_limits<double>::infinity(),
+            std::numeric_limits<double>::infinity()};
+  }
 
   /// The paper's N(p, r) (Eq. 4): estimated number of window values within
   /// L-infinity distance r of p, given the window population size.

@@ -328,6 +328,17 @@ void KernelDensityEstimator::ReplaceCanonicalRow(const double* departed,
   std::copy(arrived, arrived + d, data + to * d);
 }
 
+std::pair<double, double> KernelDensityEstimator::Support(size_t dim) const {
+  SENSORD_DCHECK_LT(dim, dimensions());
+  double lo = sample_.At(0, dim), hi = lo;
+  for (size_t r = 1; r < sample_size_; ++r) {
+    lo = std::min(lo, sample_.At(r, dim));
+    hi = std::max(hi, sample_.At(r, dim));
+  }
+  const double b = kernels_[dim].bandwidth();
+  return {lo - b, hi + b};
+}
+
 std::vector<double> KernelDensityEstimator::bandwidths() const {
   std::vector<double> out;
   out.reserve(kernels_.size());
@@ -729,6 +740,23 @@ StatusOr<KernelDensityEstimator> KernelDensityEstimator::Deserialize(
 size_t KernelDensityEstimator::MemoryBytes(size_t bytes_per_number) const {
   const size_t numbers = sample_size_ * dimensions() + dimensions();
   return numbers * bytes_per_number;
+}
+
+size_t KernelDensityEstimator::ResidentBytes() const {
+  size_t bytes = sample_.ResidentBytes() +
+                 block_sums_.capacity() * sizeof(double) +
+                 kernels_.capacity() * sizeof(EpanechnikovKernel);
+  if (const CellMemo* memo = memo_.memo.get()) {
+    bytes += sizeof(CellMemo) + memo->mass.capacity() * sizeof(double) +
+             memo->known.capacity() * sizeof(uint8_t) +
+             memo->out.capacity() * sizeof(double);
+    for (const std::vector<size_t>* v :
+         {&memo->stride, &memo->first, &memo->last, &memo->fill_first,
+          &memo->fill_last, &memo->pos}) {
+      bytes += v->capacity() * sizeof(size_t);
+    }
+  }
+  return bytes;
 }
 
 }  // namespace sensord

@@ -126,6 +126,9 @@ class KernelDensityEstimator : public DistributionEstimator {
   /// over the same block power sums.
   double Pdf(const Point& p) const override;
 
+  /// The sample's extent along `dim`, widened by that axis's bandwidth.
+  std::pair<double, double> Support(size_t dim) const override;
+
   /// Number of kernels |R|.
   size_t sample_size() const { return sample_size_; }
 
@@ -263,6 +266,10 @@ class KernelDensityEstimator : public DistributionEstimator {
   /// sums are a cache derived from the sample, like the cell memo, and are
   /// not counted.
   size_t MemoryBytes(size_t bytes_per_number) const;
+
+  /// Heap bytes the estimator holds on this machine: the capacity of its
+  /// sample, block sums, kernels and, once filled, its MDEF cell memo.
+  size_t ResidentBytes() const;
 
   /// Appends the estimator's defining state (sample points and bandwidths)
   /// to `writer`, for checkpoint/restore (core/snapshot.h). The wire format

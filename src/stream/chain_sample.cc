@@ -103,6 +103,23 @@ void ChainSample::PendingIndex::Register(uint64_t key, uint32_t chain_idx,
   tails[slot] = e;
 }
 
+void ChainSample::PendingIndex::Remove(uint64_t key, uint32_t link) {
+  const uint32_t slot = static_cast<uint32_t>(key) & mask;
+  uint32_t prev = kNil;
+  for (uint32_t e = heads[slot]; e != kNil; prev = e, e = pool[e].next) {
+    if (pool[e].key != key || pool[e].link != link) continue;
+    if (prev == kNil) {
+      heads[slot] = pool[e].next;
+    } else {
+      pool[prev].next = pool[e].next;
+    }
+    if (tails[slot] == e) tails[slot] = prev;
+    pool[e].next = free_head;
+    free_head = e;
+    return;
+  }
+}
+
 void ChainSample::PendingIndex::ConsumeBoth(
     uint64_t key, std::vector<uint32_t>* replacements,
     std::vector<uint32_t>* expiries) {
@@ -173,14 +190,20 @@ void ChainSample::RestartChain(uint32_t chain_idx, uint64_t index,
   Metrics().restarts->Increment();
   ++version_;
   Chain& chain = chains_[chain_idx];
-  // Orphaned index registrations are skipped lazily. The head row, if any,
-  // is overwritten in place rather than freed and re-allocated: restarts
-  // are by far the most frequent chain mutation, and most chains hold only
-  // their active element when one hits.
+  // The head row, if any, is overwritten in place rather than freed and
+  // re-allocated: restarts are by far the most frequent chain mutation, and
+  // most chains hold only their active element when one hits.
   if (chain.Empty()) {
     ChainPushBack(&chain, index, value);
   } else {
     SENSORD_DCHECK_EQ(value.size(), dims_);
+    // The old front's expiry would only be skipped when its key comes due,
+    // up to |W| arrivals later; unlink it now (DESIGN.md §14). Expiries draw
+    // no randomness and touch only their own chain, so this changes no
+    // state. The orphaned replacement registration stays: its list position
+    // orders the rng draws if the chain redraws the same key.
+    pending_.Remove(FrontIndex(chain) + window_size_,
+                    chain_idx | PendingIndex::kExpiryBit);
     if (changes != nullptr) {
       const double* head = FrontCoords(chain);
       std::copy(head, head + dims_, changes->departed.AppendRow());
@@ -255,7 +278,7 @@ bool ChainSample::Add(const Point& value, SampleChanges* changes) {
   for (const uint32_t c : scratch_expiries_) {
     Chain& chain = chains_[c];
     if (chain.Empty() || FrontIndex(chain) + window_size_ != i) {
-      continue;  // stale (restarted since registration)
+      continue;  // dead: only restored older checkpoints carry these
     }
     if (changes != nullptr) {
       const double* front = FrontCoords(chain);
@@ -396,8 +419,10 @@ void ChainSample::Serialize(SnapshotWriter* writer) const {
   // bucket's vector order decides which chain draws its next replacement
   // first, and that assignment must survive a restore for the continuation
   // to be bit-identical. Keys are emitted sorted so the encoding is
-  // deterministic; stale registrations are kept — a live sampler skips them
-  // lazily without touching the rng.
+  // deterministic. Stale replacement registrations are written too — their
+  // positions order future rng draws — while dead expiries are already
+  // unlinked. Restore() still accepts payloads that carry dead expiries:
+  // Add() skips them without touching the rng.
   pending_.Serialize(writer, /*expiry=*/false);
   pending_.Serialize(writer, /*expiry=*/true);
 }
@@ -449,6 +474,18 @@ bool ChainSample::Restore(SnapshotReader* reader) {
     return false;
   }
   return reader->ok();
+}
+
+size_t ChainSample::ResidentBytes() const {
+  return chains_.capacity() * sizeof(Chain) +
+         row_index_.capacity() * sizeof(uint64_t) +
+         row_coords_.capacity() * sizeof(double) +
+         row_next_.capacity() * sizeof(uint32_t) +
+         (pending_.heads.capacity() + pending_.tails.capacity()) *
+             sizeof(uint32_t) +
+         pending_.pool.capacity() * sizeof(PendingIndex::Entry) +
+         (scratch_replacements_.capacity() + scratch_expiries_.capacity()) *
+             sizeof(uint32_t);
 }
 
 size_t ChainSample::MemoryBytes(size_t dimensions,

@@ -120,6 +120,15 @@ class ChainSample {
   /// value (the paper assumes a 16-bit architecture, i.e. 2).
   size_t MemoryBytes(size_t dimensions, size_t bytes_per_number) const;
 
+  /// Heap bytes the sampler holds on this machine: the capacity of every
+  /// buffer it owns (chains, row pool, pending index, scratch lists).
+  size_t ResidentBytes() const;
+
+  /// Entries in the pending index's pool, live or recycled: the most
+  /// registrations it has held at once since construction or the last
+  /// Restore() (the pool never shrinks). DESIGN.md §14 bounds it.
+  size_t PendingPoolSize() const { return pending_.pool.size(); }
+
   /// Appends the complete sampler state (clock, rng, every chain with its
   /// queued replacements, and the pending-arrival maps with their bucket
   /// orders intact) to `writer`, for checkpoint/restore (core/snapshot.h).
@@ -181,11 +190,14 @@ class ChainSample {
   // chain draws its next replacement first, exactly like the unordered_map
   // bucket order this replaces — is the list order restricted to that key
   // and kind. Every arrival index is visited by Add() exactly once, which
-  // consumes (and recycles) its entries; entries may be stale after a chain
-  // restart — consumers re-validate against the chain state. Live + stale
-  // entries number O(|R|), so the ring is sized to the sample, not the
-  // window: construction and steady-state churn touch a few KB instead of
-  // O(|W|) slots.
+  // consumes (and recycles) its entries. A restart unlinks the chain's
+  // expiry registration (Remove) but leaves its replacement registration
+  // stale: when the chain later redraws the same key, the stale entry's list
+  // position decides the order of the rng draws, so removing it would change
+  // the output (DESIGN.md §14). Consumers re-validate replacements against
+  // the chain state. Live + stale entries number O(|R|), so the ring is
+  // sized to the sample, not the window: construction and steady-state
+  // churn touch a few KB instead of O(|W|) slots.
   struct PendingIndex {
     static constexpr uint32_t kNil = ~uint32_t{0};
     static constexpr uint32_t kExpiryBit = uint32_t{1} << 31;
@@ -202,6 +214,8 @@ class ChainSample {
 
     explicit PendingIndex(size_t min_slots);
     void Register(uint64_t key, uint32_t chain_idx, bool expiry);
+    // Unlinks and recycles the entry (key, link), if present.
+    void Remove(uint64_t key, uint32_t link);
     // Moves every entry matching `key` into `replacements` / `expiries` by
     // kind (each in insertion order), unlinking and recycling them. Both
     // outputs are cleared first.
@@ -218,8 +232,9 @@ class ChainSample {
 
   // Restarts chain `c` at the element (index, value): the new element
   // becomes the active sample member, queued replacements are discarded,
-  // and the chain's expiry and replacement are re-registered. The change is
-  // reported into `changes` when it is non-null.
+  // the old front's expiry registration is unlinked, and the chain's expiry
+  // and replacement are re-registered. The change is reported into
+  // `changes` when it is non-null.
   void RestartChain(uint32_t chain_idx, uint64_t index, const Point& value,
                     SampleChanges* changes);
 

@@ -105,6 +105,10 @@ class VarianceSketch {
   /// front's element count and the running back aggregate).
   size_t MemoryBytes(size_t bytes_per_number) const;
 
+  /// Heap bytes the sketch holds on this machine: its bucket ring's
+  /// capacity.
+  size_t ResidentBytes() const { return ring_.capacity() * sizeof(Slot); }
+
   /// The footprint corresponding to TheoreticalBoundBuckets() buckets of 5
   /// numbers each (first/last timestamps, count, mean, variance).
   size_t TheoreticalBoundBytes(size_t bytes_per_number) const;

@@ -118,6 +118,9 @@ class FlatPoints {
   /// The raw coordinate buffer, row-major.
   const std::vector<double>& data() const { return coords_; }
 
+  /// Heap bytes held by the coordinate buffer (its capacity, not its size).
+  size_t ResidentBytes() const { return coords_.capacity() * sizeof(double); }
+
   /// Mutable access to the raw buffer for in-place reordering (e.g.
   /// std::sort of a 1-d sample). The caller must keep the length a multiple
   /// of dimensions() and may only permute coordinates within/between rows.

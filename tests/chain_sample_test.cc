@@ -1,11 +1,13 @@
 #include "stream/chain_sample.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/snapshot.h"
 #include "util/flat_points.h"
 #include "util/rng.h"
 
@@ -303,6 +305,122 @@ TEST(ChainSampleTest, DeterministicGivenSeed) {
   ASSERT_EQ(sa.size(), sb.size());
   for (size_t i = 0; i < sa.size(); ++i) {
     EXPECT_DOUBLE_EQ(sa[i][0], sb[i][0]);
+  }
+}
+
+// The pending index holds each chain's live expiry and replacement
+// registrations plus the replacement registrations that restarts orphaned
+// within the last |W| arrivals; a restart unlinks its old expiry
+// registration at once. DESIGN.md §14 bounds the expected total by
+// (2 + H_W)·|R|, H_W the W-th harmonic number: the first window restarts
+// each chain H_W times in expectation, and no later window restarts more.
+// Keeping the dead expiries until their keys come due held 12–16 |R|
+// entries at these sizes. The bookkeeping does not look at the values, so
+// the sweep varies seeds, not streams.
+TEST(ChainSampleTest, PendingPoolStaysWithinItsBound) {
+  struct Size {
+    size_t window, sample;
+  };
+  for (const Size size : {Size{1024, 102}, Size{4096, 512}, Size{10000, 500}}) {
+    double harmonic = 0.0;
+    for (size_t k = 1; k <= size.window; ++k) {
+      harmonic += 1.0 / static_cast<double>(k);
+    }
+    const double bound = (2.0 + harmonic) * static_cast<double>(size.sample);
+    for (uint64_t seed = 1; seed <= 10; ++seed) {
+      ChainSample cs(size.sample, size.window, Rng(seed));
+      for (size_t i = 0; i < 3 * size.window; ++i) {
+        cs.Add({static_cast<double>(i)});
+      }
+      EXPECT_LE(static_cast<double>(cs.PendingPoolSize()), bound)
+          << "|W| " << size.window << " |R| " << size.sample << " seed "
+          << seed << ": " << cs.PendingPoolSize() << " entries";
+    }
+  }
+}
+
+// Re-encodes a ChainSample payload with a dead expiry registration for
+// chain `chain` at arrival `key` placed first in the expiry section, so it
+// precedes any live registration of the same key — the shape of checkpoints
+// written while restarts still left their expiry registrations behind.
+std::vector<uint8_t> WithDeadExpiry(const std::vector<uint8_t>& bytes,
+                                    uint64_t key, uint32_t chain,
+                                    uint32_t version) {
+  auto opened = SnapshotReader::Open(bytes, version);
+  EXPECT_TRUE(opened.ok());
+  SnapshotReader& in = opened.value();
+  SnapshotWriter out;
+  out.PutU64(in.TakeU64());  // window
+  out.PutU64(in.TakeU64());  // clock
+  out.PutU64(in.TakeU64());  // version
+  out.PutBool(in.TakeBool());
+  out.PutRng(in.TakeRng());
+  const uint32_t chains = in.TakeU32();
+  out.PutU32(chains);
+  for (uint32_t c = 0; c < chains; ++c) {
+    out.PutU64(in.TakeU64());  // next replacement index
+    const uint32_t rows = in.TakeU32();
+    out.PutU32(rows);
+    for (uint32_t r = 0; r < rows; ++r) {
+      out.PutU64(in.TakeU64());
+      out.PutPoint(in.TakePoint());
+    }
+  }
+  for (int kind = 0; kind < 2; ++kind) {
+    const uint32_t buckets = in.TakeU32();
+    out.PutU32(buckets + (kind == 1 ? 1 : 0));
+    if (kind == 1) {
+      out.PutU64(key);
+      out.PutU32(1);
+      out.PutU32(chain);
+    }
+    for (uint32_t b = 0; b < buckets; ++b) {
+      out.PutU64(in.TakeU64());
+      const uint32_t entries = in.TakeU32();
+      out.PutU32(entries);
+      for (uint32_t e = 0; e < entries; ++e) out.PutU32(in.TakeU32());
+    }
+  }
+  EXPECT_TRUE(in.AtEnd());
+  return std::move(out).Finish(version);
+}
+
+TEST(ChainSampleTest, RestoreAcceptsDeadExpiryRegistrations) {
+  constexpr uint32_t kVersion = 1;
+  const size_t kSample = 64, kWindow = 200;
+  ChainSample twin(kSample, kWindow, Rng(21));
+  uint64_t i = 0;
+  for (; i < 150; ++i) twin.Add({static_cast<double>(i)});
+
+  SnapshotWriter writer;
+  twin.Serialize(&writer);
+  std::vector<uint8_t> bytes = std::move(writer).Finish(kVersion);
+  // Values are arrival indices, so a chain's front expires at its value
+  // + |W|. Inject a dead registration for each of a few chains, at a key
+  // before its live one: one due at the next arrival, one mid-window.
+  size_t injected = 0;
+  for (uint32_t c = 0; c < 4; ++c) {
+    const uint64_t live = static_cast<uint64_t>(twin.ActiveElement(c)[0]) +
+                          kWindow;
+    for (const uint64_t key : {i, i + kWindow / 2}) {
+      if (key >= live) continue;
+      bytes = WithDeadExpiry(bytes, key, c, kVersion);
+      ++injected;
+    }
+  }
+  ASSERT_GT(injected, 0u);
+
+  ChainSample restored(kSample, kWindow, Rng(99));
+  auto reader = SnapshotReader::Open(bytes, kVersion);
+  ASSERT_TRUE(reader.ok());
+  ASSERT_TRUE(restored.Restore(&reader.value()));
+  EXPECT_TRUE(reader.value().AtEnd());
+  ASSERT_EQ(restored.Snapshot(), twin.Snapshot());
+  for (const uint64_t end = i + kWindow; i < end; ++i) {
+    const Point v{static_cast<double>(i)};
+    ASSERT_EQ(restored.Add(v), twin.Add(v)) << "arrival " << i;
+    ASSERT_EQ(restored.version(), twin.version()) << "arrival " << i;
+    ASSERT_EQ(restored.Snapshot(), twin.Snapshot()) << "arrival " << i;
   }
 }
 

@@ -1,8 +1,42 @@
 #include "net/network.h"
 
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+// Counts every heap allocation in the process so the periodic-reading test
+// can assert what a tick allocates (same idiom as density_model_test.cc).
+namespace {
+std::atomic<uint64_t> g_alloc_count{0};
+}  // namespace
+
+// The replacement operators below pair malloc with free correctly, but
+// GCC's heuristic sees new-expressions resolving to free() and flags a
+// mismatch; the override is TU-wide, so suppress it file-wide.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
+
+void* operator new(std::size_t size) {
+  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size)) return p;
+  throw std::bad_alloc();
+}
+
+void* operator new[](std::size_t size) {
+  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size)) return p;
+  throw std::bad_alloc();
+}
+
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace sensord {
 namespace {
@@ -154,6 +188,29 @@ TEST(SimulatorTest, PeriodicReadingsResumeAcrossRunUntilCalls) {
   EXPECT_EQ(node.readings.size(), 2u);  // 0.5, 1.5
   sim.RunUntil(4.0);
   EXPECT_EQ(node.readings.size(), 4u);  // + 2.5, 3.5
+}
+
+// A node that keeps nothing, so a tick's allocations are the simulator's.
+class CountingNode : public Node {
+ public:
+  void HandleMessage(const Message&) override {}
+  void OnReading(const Point&) override { ++readings; }
+  size_t readings = 0;
+};
+
+TEST(SimulatorTest, PeriodicTickAllocatesOnlyTheReading) {
+  Simulator sim;
+  const NodeId a = sim.AddNode(std::make_unique<CountingNode>());
+  const NodeId b = sim.AddNode(std::make_unique<CountingNode>());
+  sim.SchedulePeriodicReadings(a, 0.0, 1.0, []() { return Point{0.1}; });
+  sim.SchedulePeriodicReadings(b, 0.5, 1.0, []() { return Point{0.2}; });
+  sim.RunUntil(100.0);  // warm the event queue's storage
+  const uint64_t before = g_alloc_count.load();
+  sim.RunUntil(1100.0);
+  const uint64_t allocs = g_alloc_count.load() - before;
+  EXPECT_EQ(static_cast<CountingNode&>(sim.node(a)).readings, 1101u);
+  // One allocation per tick: the Point the source returns.
+  EXPECT_EQ(allocs, 2000u);
 }
 
 TEST(SimulatorTest, PacketLossDropsButCounts) {

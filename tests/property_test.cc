@@ -8,6 +8,7 @@
 #include <cstring>
 #include <memory>
 #include <optional>
+#include <ostream>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -53,6 +54,12 @@ struct Theorem3Case {
 };
 
 class Theorem3Test : public ::testing::TestWithParam<Theorem3Case> {};
+
+// ctest's test IDs carry the printed parameter; gtest's default print of a
+// struct is a byte dump that includes its uninitialised padding.
+void PrintTo(const Theorem3Case& c, std::ostream* os) {
+  *os << "seed" << c.seed << "_children" << c.children << "_W" << c.window;
+}
 
 TEST_P(Theorem3Test, PoolOutliersAreChildOutliers) {
   const Theorem3Case param = GetParam();
@@ -255,6 +262,10 @@ struct ChainSweep {
 
 class ChainSampleSweepTest : public ::testing::TestWithParam<ChainSweep> {};
 
+void PrintTo(const ChainSweep& c, std::ostream* os) {
+  *os << "R" << c.sample << "_W" << c.window;
+}
+
 TEST_P(ChainSampleSweepTest, InsertionRateMatchesTheory) {
   const ChainSweep param = GetParam();
   ChainSample cs(param.sample, param.window, Rng(31));
@@ -375,20 +386,29 @@ KernelDensityEstimator ScaledKde(const std::vector<Point>& sample,
 
 uint64_t Bits(double x) { return std::bit_cast<uint64_t>(x); }
 
-// RangeQueryEngine::Average over the reference sweep: slice [lo, hi] along
-// `dim` and weight each slice centre by its mass. Empty where Average
-// returns an error: a degenerate box or one that holds no mass.
+// RangeQueryEngine::Average over the reference sweep: slice the part of
+// [lo, hi] inside the sample's extent ± bandwidth along `dim` and weight
+// each slice centre by its mass. Empty where Average returns an error: a
+// degenerate box or one that holds no mass.
 std::optional<double> ReferenceSliceAverage(
     const KernelDensityEstimator& kde,
     const std::vector<EpanechnikovKernel>& ks, size_t dim, const Point& lo,
     const Point& hi, size_t slices) {
-  const double width = (hi[dim] - lo[dim]) / static_cast<double>(slices);
-  if (width <= 0.0) return std::nullopt;
+  if (!(hi[dim] > lo[dim])) return std::nullopt;
+  double extent_lo = kde.sample().At(0, dim), extent_hi = extent_lo;
+  for (size_t r = 0; r < kde.sample().size(); ++r) {
+    extent_lo = std::min(extent_lo, kde.sample().At(r, dim));
+    extent_hi = std::max(extent_hi, kde.sample().At(r, dim));
+  }
+  const double from = std::max(lo[dim], extent_lo - ks[dim].bandwidth());
+  const double to = std::min(hi[dim], extent_hi + ks[dim].bandwidth());
+  if (!(to > from)) return std::nullopt;
+  const double width = (to - from) / static_cast<double>(slices);
   double mass_total = 0.0;
   double weighted = 0.0;
   Point slice_lo(lo), slice_hi(hi);
   for (size_t s = 0; s < slices; ++s) {
-    slice_lo[dim] = lo[dim] + static_cast<double>(s) * width;
+    slice_lo[dim] = from + static_cast<double>(s) * width;
     slice_hi[dim] = slice_lo[dim] + width;
     const double mass =
         ReferenceFullSweepBoxMass(kde, ks, slice_lo, slice_hi);

@@ -129,6 +129,29 @@ TEST(AnswerFromModelTest, CountMatchesModel) {
   EXPECT_DOUBLE_EQ(part.window_total, 1000.0);
 }
 
+// An average over a box with an infinite bound slices only the model's
+// support, so it answers like the finite box around the data instead of 0.
+TEST(AnswerFromModelTest, AverageOverInfiniteBoxMatchesFiniteBox) {
+  DensityModel model(LeafConfig(), Rng(5));
+  Rng values(6);
+  for (int i = 0; i < 2000; ++i) {
+    model.Observe({values.Gaussian(0.4, 0.02)});
+  }
+  const auto average = [&](double lo, double hi) {
+    AggregateQuery q;
+    q.kind = AggregateQuery::Kind::kAverage;
+    q.lo = {lo};
+    q.hi = {hi};
+    return FinalizeAnswer(q, AnswerFromModel(model, q)).value;
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  const double finite = average(0.0, 1.0);
+  EXPECT_NEAR(finite, 0.4, 0.01);
+  EXPECT_NEAR(average(-inf, inf), finite, 1e-3);
+  EXPECT_NEAR(average(0.0, inf), finite, 1e-3);
+  EXPECT_NEAR(average(-inf, 1.0), finite, 1e-3);
+}
+
 TEST(FinalizeAnswerTest, Kinds) {
   AggregateQuery q;
   QueryPartialPayload acc;

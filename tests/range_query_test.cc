@@ -1,7 +1,10 @@
 #include "core/range_query.h"
 
+#include <limits>
+
 #include <gtest/gtest.h>
 
+#include "stats/histogram.h"
 #include "util/rng.h"
 
 namespace sensord {
@@ -60,6 +63,22 @@ TEST(RangeQueryTest, DegenerateBoxRejected) {
   const auto kde = MakeKde(&rng, 100, 0.5, 0.05);
   RangeQueryEngine engine(&kde, 1000.0);
   EXPECT_FALSE(engine.Average(0, {0.5}, {0.5}).ok());
+}
+
+// An estimator that states no support cannot be sliced over an infinite
+// bound. (A KDE states one: query_processing_test.cc averages over
+// infinite boxes.)
+TEST(RangeQueryTest, UnboundedAverageWithoutSupportRejected) {
+  Rng rng(7);
+  std::vector<Point> data;
+  for (int i = 0; i < 200; ++i) data.push_back({rng.UniformDouble()});
+  auto histogram = EquiDepthHistogram::Build(data, 16);
+  ASSERT_TRUE(histogram.ok());
+  RangeQueryEngine engine(&*histogram, 200.0);
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto avg = engine.Average(0, {-inf}, {inf});
+  EXPECT_FALSE(avg.ok());
+  EXPECT_EQ(avg.status().code(), Status::Code::kInvalidArgument);
 }
 
 TEST(TemporalStoreTest, SelectsSnapshotsInInterval) {

@@ -5,6 +5,8 @@
 #include <cstdint>
 #include <cstring>
 #include <deque>
+#include <ostream>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -90,6 +92,18 @@ struct SketchCase {
 };
 
 class VarianceSketchErrorTest : public ::testing::TestWithParam<SketchCase> {};
+
+// Prints a case as "eps0_1_uniform". ctest's test IDs carry the printed
+// parameter, and gtest's default print of a struct is a byte dump that
+// includes its uninitialised padding, so the IDs changed between builds.
+void PrintTo(const SketchCase& c, std::ostream* os) {
+  static const char* const kKinds[] = {"uniform", "gaussian", "drifting",
+                                       "bimodal"};
+  std::string eps = std::to_string(c.epsilon);  // "0.100000"
+  eps.erase(eps.find_last_not_of('0') + 1);
+  std::replace(eps.begin(), eps.end(), '.', '_');
+  *os << "eps" << eps << "_" << kKinds[c.stream_kind];
+}
 
 TEST_P(VarianceSketchErrorTest, RelativeErrorWithinEpsilon) {
   const SketchCase param = GetParam();
