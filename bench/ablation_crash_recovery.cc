@@ -91,8 +91,6 @@ std::set<std::pair<NodeId, double>> RunOnce(
     double loss, double checkpoint_interval, bool crashes) {
   const int rounds = static_cast<int>(readings.size());
   SimulatorOptions sim_opts;
-  sim_opts.drop_probability = loss;
-  sim_opts.loss_seed = seed * 7919 + 17;
   sim_opts.fault_seed = seed * 104729 + 5;
   sim_opts.recovery.checkpoint_interval = checkpoint_interval;
   sim_opts.transport.reliable = true;
@@ -100,6 +98,9 @@ std::set<std::pair<NodeId, double>> RunOnce(
   sim_opts.transport.backoff_factor = 2.0;
   sim_opts.transport.max_retries = 4;
   Simulator sim(sim_opts);
+  LinkFault lossy;
+  lossy.drop_probability = loss;
+  sim.faults().SetDefaultLinkFault(lossy);
 
   RecordingObserver observer;
   Rng node_rng(seed * 1000 + 7);

@@ -136,9 +136,4 @@ MdefResult ComputeMdef(const KernelDensityEstimator& kde, const Point& p,
                         sum2, sum3, cell_mass.size(), config);
 }
 
-bool IsMdefOutlier(const DistributionEstimator& model, const Point& p,
-                   const MdefConfig& config) {
-  return ComputeMdef(model, p, config).is_outlier;
-}
-
 }  // namespace sensord

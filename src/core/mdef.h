@@ -66,10 +66,6 @@ MdefResult ComputeMdef(const DistributionEstimator& model, const Point& p,
 MdefResult ComputeMdef(const class KernelDensityEstimator& kde,
                        const Point& p, const MdefConfig& config);
 
-/// Shorthand for ComputeMdef(...).is_outlier.
-bool IsMdefOutlier(const DistributionEstimator& model, const Point& p,
-                   const MdefConfig& config);
-
 }  // namespace sensord
 
 #endif  // SENSORD_CORE_MDEF_H_

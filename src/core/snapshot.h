@@ -186,10 +186,6 @@ class SnapshotReader {
   /// True once every payload byte has been consumed (and ok()).
   bool AtEnd() const { return ok_ && pos_ == end_; }
 
-  /// Payload bytes not yet consumed (0 once a read has overrun). A decoder
-  /// checks a count it read against this before reserving for it.
-  size_t remaining() const { return ok_ ? end_ - pos_ : 0; }
-
  private:
   SnapshotReader(const uint8_t* data, size_t pos, size_t end)
       : data_(data), pos_(pos), end_(end) {}

@@ -64,9 +64,6 @@ class EnvironmentalTraceGenerator : public StreamSource {
 
   Point Next() override;
 
-  /// True while a storm front is passing.
-  bool InStorm() const { return storm_remaining_ > 0; }
-
  private:
   EnvironmentalTraceOptions options_;
   Rng rng_;

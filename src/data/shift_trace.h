@@ -7,9 +7,9 @@
 //  sigma = 0.05) to measure the latency with which the sensors adjust to the
 //  changes in distribution." (Section 10.1)
 //
-// The stream alternates between the two phases forever; TruePhaseAt() tells
-// the experiment which distribution generated a given reading so it can
-// compute the JS divergence against the right truth.
+// The stream alternates between the two phases forever; IsPhaseA() and
+// TrueDistributionAt() tell the experiment which distribution generated a
+// given reading so it can compute the JS divergence against the right truth.
 
 #ifndef SENSORD_DATA_SHIFT_TRACE_H_
 #define SENSORD_DATA_SHIFT_TRACE_H_

@@ -47,9 +47,9 @@ GappedBimodalStream::GappedBimodalStream(GappedBimodalOptions options,
 
 Point GappedBimodalStream::Next() {
   Point p(options_.dimensions);
-  last_was_noise_ = rng_.Bernoulli(options_.gap_noise_probability);
+  const bool gap_noise = rng_.Bernoulli(options_.gap_noise_probability);
   for (double& x : p) {
-    if (last_was_noise_) {
+    if (gap_noise) {
       x = rng_.UniformDouble(options_.gap_lo, options_.gap_hi);
     } else if (rng_.Bernoulli(0.5)) {
       x = rng_.UniformDouble(options_.band_a_lo, options_.band_a_hi);

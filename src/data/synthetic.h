@@ -92,13 +92,9 @@ class GappedBimodalStream : public StreamSource {
 
   Point Next() override;
 
-  /// True iff the previous reading produced by Next() was gap noise.
-  bool LastWasGapNoise() const { return last_was_noise_; }
-
  private:
   GappedBimodalOptions options_;
   Rng rng_;
-  bool last_was_noise_ = false;
 };
 
 }  // namespace sensord

@@ -17,6 +17,7 @@
 #include "data/synthetic.h"
 #include "data/stream_source.h"
 #include "eval/ground_truth.h"
+#include "net/fault_schedule.h"
 #include "net/hierarchy.h"
 #include "net/network.h"
 #include "stats/divergence.h"
@@ -200,11 +201,13 @@ StatusOr<AccuracyResult> RunAccuracyExperiment(const AccuracyConfig& cfg) {
   std::vector<NodeId> d3_ids, mgdd_ids;
 
   SimulatorOptions sim_opts;
-  sim_opts.drop_probability = cfg.link_loss;
   sim_opts.transport = cfg.transport;
+  LinkFault link_loss;
+  link_loss.drop_probability = cfg.link_loss;
 
   if (use_d3_sim) {
     d3_sim = std::make_unique<Simulator>(sim_opts);
+    d3_sim->faults().SetDefaultLinkFault(link_loss);
     Rng node_rng = master.Split();
     d3_ids = d3_sim->Instantiate(
         layout, [&](int slot, const HierarchyNodeSpec& spec)
@@ -228,8 +231,9 @@ StatusOr<AccuracyResult> RunAccuracyExperiment(const AccuracyConfig& cfg) {
 
   if (use_mgdd_sim) {
     SimulatorOptions mgdd_sim_opts = sim_opts;
-    mgdd_sim_opts.loss_seed = sim_opts.loss_seed + 1;
+    mgdd_sim_opts.fault_seed = sim_opts.fault_seed + 1;
     mgdd_sim = std::make_unique<Simulator>(mgdd_sim_opts);
+    mgdd_sim->faults().SetDefaultLinkFault(link_loss);
     Rng node_rng = master.Split();
     mgdd_ids = mgdd_sim->Instantiate(
         layout, [&](int slot, const HierarchyNodeSpec& spec)

@@ -78,8 +78,8 @@ struct AccuracyConfig {
   size_t score_subsample = 1;
 
   /// Lossy-radio model: probability that any transmitted message is lost
-  /// (kernel method only; 0 = reliable links, the paper's setting). Used by
-  /// the robustness ablation.
+  /// (kernel method only; 0 = reliable links, the paper's setting), set as
+  /// each simulator's default LinkFault. Used by the robustness ablation.
   double link_loss = 0.0;
 
   /// Ack/retransmit transport under the loss above (kernel method only).

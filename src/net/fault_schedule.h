@@ -114,10 +114,12 @@ class FaultSchedule {
 
   explicit FaultSchedule(uint64_t seed = 0xFA017B0D) : rng_(seed) {}
 
-  /// Fault model applied to every link without a per-link override.
+  /// Fault model applied to every link without a per-link override. A
+  /// default drop_probability is the simulator's uniform loss rate.
   void SetDefaultLinkFault(const LinkFault& fault) { default_fault_ = fault; }
 
-  /// Fault model of the directed link from -> to.
+  /// Fault model of the directed link from -> to. It replaces the default
+  /// on that link; the two never compound.
   void SetLinkFault(NodeId from, NodeId to, const LinkFault& fault) {
     link_faults_[{from, to}] = fault;
   }

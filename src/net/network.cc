@@ -40,8 +40,7 @@ const RecoveryMetrics& Metrics() {
 Simulator::Simulator(SimulatorOptions options)
     : options_(options),
       faults_(options.fault_seed),
-      transport_(new ReliableTransport(this, options.transport)),
-      loss_rng_(options.loss_seed) {
+      transport_(new ReliableTransport(this, options.transport)) {
   obs::SetTraceVirtualClock(&SimulatorVirtualNow, this);
   // Amnesia crashes need a restart event at the interval's end; omission
   // crashes recover implicitly (IsNodeUp flips) and keep their memory.
@@ -133,16 +132,6 @@ void Simulator::Transmit(const Message& msg) {
   energy_[msg.from] += options_.tx_cost_per_message +
                        options_.tx_cost_per_number *
                            static_cast<double>(msg.size_numbers);
-  // The legacy uniform loss model runs first and consumes loss_rng_ exactly
-  // as it always has, so configurations that never touch the fault schedule
-  // or transport replay the pre-transport message trace bit for bit.
-  if (options_.drop_probability > 0.0 &&
-      loss_rng_.Bernoulli(options_.drop_probability)) {
-    stats_.RecordDrop();
-    obs::FlightRecorder::Record(msg.from, obs::FlightEventKind::kDrop, Now(),
-                                msg.to, msg.kind);
-    return;
-  }
   const TransmissionPlan plan = faults_.DecideTransmission(msg.from, msg.to,
                                                           Now());
   if (plan.drop) {

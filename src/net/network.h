@@ -11,14 +11,14 @@
 // The radio pipeline of one application-level Send is:
 //
 //   Send -> [ReliableTransport: stamp seq, arm retransmit timer]   (optional)
-//        -> Transmit: stats + tx energy, legacy loss model, FaultSchedule
-//                     (forced drops, crashes, partitions, per-link
+//        -> Transmit: stats + tx energy, FaultSchedule (forced drops,
+//                     crashes, partitions, per-link or default
 //                     drop/duplicate/jitter)
 //        -> Deliver (per surviving copy, after hop latency + jitter):
 //                     crashed-receiver check, rx energy,
 //                     [transport: ack + dedup], Node::HandleMessage.
 //
-// Faults are configured on faults(); reliable delivery on
+// Faults, loss included, are configured on faults(); reliable delivery on
 // SimulatorOptions::transport. Both are driven by the virtual-time event
 // queue and seeded Rngs, so every run replays byte-identically.
 
@@ -38,7 +38,6 @@
 #include "net/node.h"
 #include "net/stats_collector.h"
 #include "net/transport.h"
-#include "util/rng.h"
 #include "util/status.h"
 
 namespace sensord {
@@ -58,16 +57,9 @@ struct SimulatorOptions {
   /// "immediately", still via the event queue, preserving causal order).
   double hop_latency = 0.001;
 
-  /// Probability that a transmitted message is lost in flight (lossy radio
-  /// model). Lost messages are counted as sent by the StatsCollector — the
-  /// energy was spent — but never delivered. Default: reliable links.
-  /// Richer per-link faults live on Simulator::faults().
-  double drop_probability = 0.0;
-
-  /// Seed of the loss process (only used when drop_probability > 0).
-  uint64_t loss_seed = 0x10552026;
-
-  /// Seed of the FaultSchedule's probabilistic decisions.
+  /// Seed of the FaultSchedule's probabilistic decisions. Links are
+  /// reliable until a LinkFault is set on Simulator::faults(); a lost
+  /// message is counted as sent (the energy was spent) but never delivered.
   uint64_t fault_seed = 0xFA017B0D;
 
   /// Ack/retransmit protocol (see net/transport.h). Off by default.
@@ -112,13 +104,13 @@ class Simulator {
   /// Sends `msg` from `msg.from` to `msg.to`. With the reliable transport
   /// enabled the message is acked, retransmitted on timeout, and delivered
   /// to the receiving node exactly once; otherwise it is a plain datagram
-  /// subject to the loss model and fault schedule. A crashed sender's send
+  /// subject to the fault schedule. A crashed sender's send
   /// is silently suppressed (a dead radio transmits nothing). Pre: both
   /// endpoints registered.
   void Send(Message msg);
 
-  /// Messages dropped so far (loss model, fault schedule, or crashed
-  /// receivers). Delegates to stats(): one source of truth.
+  /// Messages dropped so far (fault schedule or crashed receivers).
+  /// Delegates to stats(): one source of truth.
   uint64_t MessagesDropped() const { return stats_.MessagesDropped(); }
 
   /// Radio energy spent by `node` so far (tx for every transmission
@@ -179,9 +171,6 @@ class Simulator {
   /// the production path.
   void CheckpointNow();
 
-  /// True if `node` has a checkpoint in flash.
-  bool HasCheckpoint(NodeId node) const { return flash_.count(node) > 0; }
-
   /// The node's transport incarnation epoch (0 = never restarted).
   uint32_t Incarnation(NodeId node) const {
     return transport_->incarnation(node);
@@ -210,8 +199,8 @@ class Simulator {
 
   void PeriodicTick(size_t slot);
 
-  /// One physical transmission attempt: accounting, loss model, fault
-  /// schedule, then delivery scheduling for each surviving copy.
+  /// One physical transmission attempt: accounting, fault schedule, then
+  /// delivery scheduling for each surviving copy.
   void Transmit(const Message& msg);
 
   /// Arrival of one physical copy at the receiver.
@@ -232,7 +221,6 @@ class Simulator {
   StatsCollector stats_;
   FaultSchedule faults_;
   std::unique_ptr<ReliableTransport> transport_;
-  Rng loss_rng_;
   std::vector<double> energy_;  // per NodeId
   SimTime horizon_ = 0.0;       // periodic readings stop beyond this
   std::function<void(const Message&)> delivery_tap_;

@@ -33,7 +33,6 @@
 #include "net/event_queue.h"     // IWYU pragma: export
 #include "net/fault_schedule.h"  // IWYU pragma: export
 #include "net/hierarchy.h"       // IWYU pragma: export
-#include "net/leader_election.h" // IWYU pragma: export
 #include "net/message.h"         // IWYU pragma: export
 #include "net/network.h"         // IWYU pragma: export
 #include "net/node.h"            // IWYU pragma: export

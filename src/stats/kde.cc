@@ -6,7 +6,6 @@
 #include <memory>
 #include <vector>
 
-#include "core/snapshot.h"
 #include "obs/metrics.h"
 #include "stats/bandwidth.h"
 
@@ -695,46 +694,6 @@ void KernelDensityEstimator::AccumulateCellMasses(double side,
       if (i == 0) break;
     }
   }
-}
-
-void KernelDensityEstimator::Serialize(SnapshotWriter* writer) const {
-  writer->PutDoubles(bandwidths());
-  writer->PutU32(static_cast<uint32_t>(sample_size_));
-  // Same bytes PutPoint() would emit per row, without materializing one.
-  const uint32_t d = static_cast<uint32_t>(dimensions());
-  for (size_t row = 0; row < sample_size_; ++row) {
-    writer->PutU32(d);
-    const double* t = sample_.Row(row);
-    for (uint32_t i = 0; i < d; ++i) writer->PutDouble(t[i]);
-  }
-}
-
-StatusOr<KernelDensityEstimator> KernelDensityEstimator::Deserialize(
-    SnapshotReader* reader) {
-  std::vector<double> bandwidths = reader->TakeDoubles();
-  const uint32_t n = reader->TakeU32();
-  // Each row is a u32 dimension prefix plus d doubles. A count the payload
-  // cannot hold is rejected before it sizes an allocation.
-  const size_t row_bytes = 4 + 8 * bandwidths.size();
-  if (!reader->ok() || n > reader->remaining() / row_bytes) {
-    return Status::InvalidArgument("KDE snapshot truncated");
-  }
-  FlatPoints sample(bandwidths.size());
-  sample.Reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    const uint32_t point_dims = reader->TakeU32();
-    if (!reader->ok()) break;
-    if (point_dims != bandwidths.size()) {
-      return Status::InvalidArgument(
-          "sample point dimensionality does not match bandwidth count");
-    }
-    double* row = sample.AppendRow();
-    for (uint32_t c = 0; c < point_dims; ++c) row[c] = reader->TakeDouble();
-  }
-  if (!reader->ok()) {
-    return Status::InvalidArgument("KDE snapshot truncated");
-  }
-  return Create(std::move(sample), std::move(bandwidths));
 }
 
 size_t KernelDensityEstimator::MemoryBytes(size_t bytes_per_number) const {

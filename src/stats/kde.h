@@ -62,9 +62,6 @@
 
 namespace sensord {
 
-class SnapshotReader;
-class SnapshotWriter;
-
 /// Product-Epanechnikov kernel density estimator over [0,1]^d.
 class KernelDensityEstimator : public DistributionEstimator {
  public:
@@ -270,20 +267,6 @@ class KernelDensityEstimator : public DistributionEstimator {
   /// Heap bytes the estimator holds on this machine: the capacity of its
   /// sample, block sums, kernels and, once filled, its MDEF cell memo.
   size_t ResidentBytes() const;
-
-  /// Appends the estimator's defining state (sample points and bandwidths)
-  /// to `writer`, for checkpoint/restore (core/snapshot.h). The wire format
-  /// is unchanged from the vector<Point> era — one u32 dimension prefix per
-  /// point — so snapshots are portable across the flat-layout change in
-  /// both directions.
-  void Serialize(SnapshotWriter* writer) const;
-
-  /// Rebuilds an estimator from state previously written by Serialize(),
-  /// re-validating through Create() (which re-canonicalizes the order, so
-  /// pre-flat-layout payloads restore to the identical estimator). Returns
-  /// InvalidArgument if the reader fails or the decoded state does not
-  /// satisfy Create()'s preconditions.
-  static StatusOr<KernelDensityEstimator> Deserialize(SnapshotReader* reader);
 
  private:
   KernelDensityEstimator(SampleStorage storage,

@@ -163,9 +163,7 @@ TEST(FailureInjectionTest, MgddSurvivesTotalUpdateLossThenRecovers) {
   // 100%-loss radio), then the link heals. Replicas must resume tracking
   // the root because every future slot diff retransmits current content
   // for the slots that keep changing.
-  SimulatorOptions lossy;
-  lossy.drop_probability = 0.0;  // start healthy
-  Simulator sim(lossy);
+  Simulator sim;  // starts healthy
   Rng rng(6);
   MgddOptions opts;
   opts.model.window_size = 400;
@@ -198,10 +196,20 @@ TEST(FailureInjectionTest, MgddSurvivesTotalUpdateLossThenRecovers) {
   const auto& leaf = static_cast<const MgddLeafNode&>(sim.node(ids[0]));
   const uint64_t updates_healthy = leaf.global_updates_received();
   EXPECT_GT(updates_healthy, 0u);
+  LinkFault dead;
+  dead.drop_probability = 1.0;
+  sim.faults().SetDefaultLinkFault(dead);
+  run_rounds(1);  // frames already in flight still land
+  const uint64_t updates_cut = leaf.global_updates_received();
+  run_rounds(500);
+  const uint64_t updates_during_loss = leaf.global_updates_received();
+  EXPECT_EQ(updates_during_loss, updates_cut)
+      << "a 100%-loss radio delivers no update";
+  sim.faults().SetDefaultLinkFault(LinkFault{});
   run_rounds(1000);
   const uint64_t updates_later = leaf.global_updates_received();
-  EXPECT_GT(updates_later, updates_healthy)
-      << "updates must keep flowing while the link is healthy";
+  EXPECT_GT(updates_later, updates_during_loss)
+      << "updates must resume once the link heals";
 }
 
 }  // namespace

@@ -120,12 +120,10 @@ Workloads MakeWorkloads() {
   return w;
 }
 
-// The radio both scenarios share: 10% uniform loss + a flaky default link
-// fault under the reliable transport.
+// The radio both scenarios share: a flaky default link fault (14.5% loss,
+// 2% duplicates) under the reliable transport.
 std::unique_ptr<Simulator> MakeLossySimulator(double checkpoint_interval) {
   SimulatorOptions sim_opts;
-  sim_opts.drop_probability = 0.1;
-  sim_opts.loss_seed = 0xD0;
   sim_opts.fault_seed = 0xFA;
   sim_opts.transport.reliable = true;
   sim_opts.transport.ack_timeout = 0.05;
@@ -133,7 +131,7 @@ std::unique_ptr<Simulator> MakeLossySimulator(double checkpoint_interval) {
   sim_opts.recovery.checkpoint_interval = checkpoint_interval;
   auto sim = std::make_unique<Simulator>(sim_opts);
   LinkFault flaky;
-  flaky.drop_probability = 0.05;
+  flaky.drop_probability = 1.0 - (1.0 - 0.1) * (1.0 - 0.05);
   flaky.duplicate_probability = 0.02;
   sim->faults().SetDefaultLinkFault(flaky);
   return sim;

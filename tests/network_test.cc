@@ -1,9 +1,11 @@
 #include "net/network.h"
 
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -214,29 +216,130 @@ TEST(SimulatorTest, PeriodicTickAllocatesOnlyTheReading) {
 }
 
 TEST(SimulatorTest, PacketLossDropsButCounts) {
+  // A default LinkFault drops each transmission with probability p; 10k
+  // sends bound the observed rate to within 4 sigma of p.
+  // Dyadic costs keep the energy sums exact.
   SimulatorOptions opts;
-  opts.drop_probability = 0.5;
+  opts.tx_cost_per_message = 1.0;
+  opts.tx_cost_per_number = 0.25;
+  opts.rx_cost_per_message = 0.5;
+  opts.rx_cost_per_number = 0.125;
   Simulator sim(opts);
+  const double p = 0.5;
+  LinkFault lossy;
+  lossy.drop_probability = p;
+  sim.faults().SetDefaultLinkFault(lossy);
   const NodeId a = sim.AddNode(std::make_unique<ProbeNode>());
   const NodeId b = sim.AddNode(std::make_unique<ProbeNode>());
-  const int sent = 2000;
+  const int sent = 10000;
   for (int i = 0; i < sent; ++i) {
     Message msg;
     msg.from = a;
     msg.to = b;
+    msg.size_numbers = 2;
     sim.Send(std::move(msg));
   }
   sim.RunUntil(1.0);
   auto& receiver = static_cast<ProbeNode&>(sim.node(b));
+  const uint64_t delivered = receiver.received.size();
   // All sends are charged (the radio spent the energy) ...
   EXPECT_EQ(sim.stats().TotalMessages(), static_cast<uint64_t>(sent));
-  // ... but about half never arrive.
-  EXPECT_EQ(receiver.received.size() + sim.MessagesDropped(),
-            static_cast<uint64_t>(sent));
-  EXPECT_NEAR(static_cast<double>(sim.MessagesDropped()) / sent, 0.5, 0.05);
-  // One source of truth: the simulator's convenience accessor and the stats
-  // collector must agree on every path that records a drop.
+  EXPECT_EQ(sim.EnergyConsumed(a), sent * 1.5);
+  // ... but about a fraction p never arrive, and only arrivals cost rx.
+  EXPECT_EQ(delivered + sim.MessagesDropped(), static_cast<uint64_t>(sent));
+  EXPECT_EQ(sim.EnergyConsumed(b), static_cast<double>(delivered) * 0.75);
+  const double sigma = std::sqrt(p * (1.0 - p) / sent);
+  EXPECT_NEAR(static_cast<double>(sim.MessagesDropped()) / sent, p,
+              4.0 * sigma);
+  // One source of truth: the simulator's convenience accessor, the stats
+  // collector and the fault schedule agree on every drop.
   EXPECT_EQ(sim.MessagesDropped(), sim.stats().MessagesDropped());
+  EXPECT_EQ(sim.MessagesDropped(), sim.faults().drops());
+}
+
+TEST(SimulatorTest, PerLinkFaultReplacesTheDefault) {
+  // A per-link fault replaces the default on its link; the two never
+  // compound. Default: every frame lost. a -> b: a fault with no loss.
+  Simulator sim;
+  LinkFault dead;
+  dead.drop_probability = 1.0;
+  sim.faults().SetDefaultLinkFault(dead);
+  const NodeId a = sim.AddNode(std::make_unique<ProbeNode>());
+  const NodeId b = sim.AddNode(std::make_unique<ProbeNode>());
+  sim.faults().SetLinkFault(a, b, LinkFault{});
+  for (int i = 0; i < 100; ++i) {
+    Message ab;
+    ab.from = a;
+    ab.to = b;
+    sim.Send(std::move(ab));
+    Message ba;
+    ba.from = b;
+    ba.to = a;
+    sim.Send(std::move(ba));
+  }
+  sim.RunUntil(1.0);
+  EXPECT_EQ(static_cast<ProbeNode&>(sim.node(b)).received.size(), 100u);
+  EXPECT_TRUE(static_cast<ProbeNode&>(sim.node(a)).received.empty());
+  EXPECT_EQ(sim.MessagesDropped(), 100u);
+}
+
+TEST(SimulatorTest, UnconfiguredFaultScheduleDrawsNothing) {
+  const auto send_burst = [](Simulator& sim, int first_kind) {
+    for (int i = 0; i < 200; ++i) {
+      Message msg;
+      msg.from = static_cast<NodeId>(i % 2);
+      msg.to = static_cast<NodeId>(i % 3 == 0 ? 2 : 1 - i % 2);
+      msg.kind = static_cast<MessageKind>(first_kind + i);
+      msg.size_numbers = static_cast<size_t>(i % 5);
+      sim.Send(std::move(msg));
+    }
+    sim.RunAll();
+  };
+  // Every physical message that reaches a node, acks included.
+  using Delivery = std::tuple<NodeId, NodeId, MessageKind, uint64_t, SimTime>;
+  const auto record = [](Simulator& sim, std::vector<Delivery>* trace) {
+    for (int i = 0; i < 3; ++i) sim.AddNode(std::make_unique<ProbeNode>());
+    sim.SetDeliveryTapForTest([&sim, trace](const Message& m) {
+      trace->emplace_back(m.from, m.to, m.kind, m.transport_seq, sim.Now());
+    });
+  };
+
+  // Two simulators that differ only in fault_seed and configure no fault
+  // deliver the same messages at the same instants.
+  std::vector<std::vector<Delivery>> traces(2);
+  for (uint64_t seed : {1u, 2u}) {
+    SimulatorOptions opts;
+    opts.fault_seed = seed;
+    opts.transport.reliable = true;
+    Simulator sim(opts);
+    record(sim, &traces[seed - 1]);
+    send_burst(sim, 1);
+  }
+  ASSERT_FALSE(traces[0].empty());
+  EXPECT_EQ(traces[0], traces[1]);
+
+  // Clean traffic consumes none of the schedule's draws: a fault set after
+  // it drops exactly the frames it drops in a simulator that starts lossy.
+  std::vector<std::vector<Delivery>> late(2);
+  for (bool clean_first : {false, true}) {
+    SimulatorOptions opts;
+    opts.fault_seed = 7;
+    Simulator sim(opts);
+    std::vector<Delivery>* trace = &late[clean_first ? 1 : 0];
+    record(sim, trace);
+    if (clean_first) {
+      send_burst(sim, 1);
+      trace->clear();
+    }
+    LinkFault lossy;
+    lossy.drop_probability = 0.4;
+    sim.faults().SetDefaultLinkFault(lossy);
+    send_burst(sim, 1000);
+    for (Delivery& d : *trace) std::get<4>(d) = 0.0;  // start times differ
+  }
+  ASSERT_GT(late[0].size(), 60u);
+  ASSERT_LT(late[0].size(), 200u);
+  EXPECT_EQ(late[0], late[1]);
 }
 
 TEST(SimulatorTest, EnergyAccounting) {
@@ -260,9 +363,10 @@ TEST(SimulatorTest, EnergyAccounting) {
 }
 
 TEST(SimulatorTest, DroppedMessageStillChargesSender) {
-  SimulatorOptions opts;
-  opts.drop_probability = 1.0 - 1e-12;  // effectively always dropped
-  Simulator sim(opts);
+  Simulator sim;
+  LinkFault dead;
+  dead.drop_probability = 1.0;  // every frame lost
+  sim.faults().SetDefaultLinkFault(dead);
   const NodeId a = sim.AddNode(std::make_unique<ProbeNode>());
   const NodeId b = sim.AddNode(std::make_unique<ProbeNode>());
   for (int i = 0; i < 10; ++i) {
@@ -272,8 +376,9 @@ TEST(SimulatorTest, DroppedMessageStillChargesSender) {
     sim.Send(std::move(msg));
   }
   sim.RunUntil(1.0);
-  EXPECT_GT(sim.EnergyConsumed(a), 9.0);   // every tx was paid for
-  EXPECT_DOUBLE_EQ(sim.EnergyConsumed(b), 0.0);  // nothing arrived
+  EXPECT_DOUBLE_EQ(sim.EnergyConsumed(a), 10.0);  // every tx was paid for
+  EXPECT_DOUBLE_EQ(sim.EnergyConsumed(b), 0.0);   // nothing arrived
+  EXPECT_EQ(sim.MessagesDropped(), 10u);
 }
 
 TEST(SimulatorTest, ReliableLinksDropNothing) {

@@ -73,8 +73,8 @@ std::vector<std::string> ReadLines(const std::string& path) {
 }
 
 // The golden-e2e scenario shape at half scale, with the sinks open: 4
-// leaves / fanout 2, 10% uniform loss + a flaky duplicating default link,
-// one amnesia crash with periodic checkpoints, reliable transport. Runs D3
+// leaves / fanout 2, a flaky duplicating default link (14.5% loss), one
+// amnesia crash with periodic checkpoints, reliable transport. Runs D3
 // then MGDD against the same open sinks, so the artifacts interleave both
 // detectors' chains.
 void RunTracedScenario(const std::string& trace_path,
@@ -92,8 +92,6 @@ void RunTracedScenario(const std::string& trace_path,
 
   for (const bool run_d3 : {true, false}) {
     SimulatorOptions sim_opts;
-    sim_opts.drop_probability = 0.1;
-    sim_opts.loss_seed = 0xD0;
     sim_opts.fault_seed = 0xFA;
     sim_opts.transport.reliable = true;
     sim_opts.transport.ack_timeout = 0.05;
@@ -101,7 +99,7 @@ void RunTracedScenario(const std::string& trace_path,
     sim_opts.recovery.checkpoint_interval = 25.0;
     Simulator sim(sim_opts);
     LinkFault flaky;
-    flaky.drop_probability = 0.05;
+    flaky.drop_probability = 1.0 - (1.0 - 0.1) * (1.0 - 0.05);
     flaky.duplicate_probability = 0.02;
     sim.faults().SetDefaultLinkFault(flaky);
     sim.faults().CrashNode(2, 120.0, 160.0, CrashKind::kAmnesia);

@@ -289,9 +289,10 @@ TEST(QueryNetworkTest, DeadlineResolvesUnderPacketLoss) {
   // With a very lossy radio some partials vanish; the deadline must still
   // produce an answer with reduced support.
   auto layout = BuildGridHierarchy(8, 4);
-  SimulatorOptions opts;
-  opts.drop_probability = 0.4;
-  Simulator sim(opts);
+  Simulator sim;
+  LinkFault lossy;
+  lossy.drop_probability = 0.4;
+  sim.faults().SetDefaultLinkFault(lossy);
   Rng rng(9);
   const auto ids = sim.Instantiate(
       *layout, [&](int, const HierarchyNodeSpec& spec)

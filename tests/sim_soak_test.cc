@@ -145,8 +145,6 @@ RunResult RunDetector(Detector detector,
                       double checkpoint_interval = 0.0) {
   const size_t leaves = readings.empty() ? 0 : readings[0].size();
   SimulatorOptions sim_opts;
-  sim_opts.drop_probability = loss;
-  sim_opts.loss_seed = seed * 7919 + 17;
   sim_opts.fault_seed = seed * 104729 + 5;
   sim_opts.recovery.checkpoint_interval = checkpoint_interval;
   sim_opts.transport.reliable = reliable;
@@ -154,6 +152,9 @@ RunResult RunDetector(Detector detector,
   sim_opts.transport.backoff_factor = 2.0;
   sim_opts.transport.max_retries = 4;
   Simulator sim(sim_opts);
+  LinkFault lossy;
+  lossy.drop_probability = loss;
+  sim.faults().SetDefaultLinkFault(lossy);
 
   RecordingObserver observer;
   Rng node_rng(seed * 1000 + 7);
@@ -483,8 +484,9 @@ TEST(SimSoakTest, SameSeedReplaysIdenticalEventHistory) {
   for (uint64_t seed : {3u, 11u}) {
     const auto readings = MakeReadings(seed, kRounds, kLeaves, 0.60, 1.0);
     const auto inject = [](Simulator& sim) {
+      // Replaces RunDetector's 10% default loss, so it carries both rates.
       LinkFault flaky;
-      flaky.drop_probability = 0.15;
+      flaky.drop_probability = 1.0 - (1.0 - 0.1) * (1.0 - 0.15);
       flaky.duplicate_probability = 0.05;
       flaky.jitter_max = 0.01;
       sim.faults().SetDefaultLinkFault(flaky);
@@ -524,7 +526,7 @@ struct RunArtifacts {
 };
 
 // The scenario: 8 leaves / fanout 2 D3 hierarchy driven by periodic
-// readings, 20% uniform loss plus a flaky default link fault (deliveries
+// readings, a flaky default link fault (24% loss, 2% duplicates; deliveries
 // under retransmission pressure), and an amnesia crash of leaf 2 with
 // checkpointing on (checkpoint ticks and crash/restart events interleaved
 // with the readings).
@@ -559,8 +561,6 @@ RunArtifacts RunScenario(const std::string& label) {
   RunArtifacts artifacts;
   {
     SimulatorOptions sim_opts;
-    sim_opts.drop_probability = 0.2;
-    sim_opts.loss_seed = 0xD0;
     sim_opts.fault_seed = 0xFA;
     sim_opts.transport.reliable = true;
     sim_opts.transport.ack_timeout = 0.05;
@@ -569,7 +569,7 @@ RunArtifacts RunScenario(const std::string& label) {
     Simulator sim(sim_opts);
 
     LinkFault flaky;
-    flaky.drop_probability = 0.05;
+    flaky.drop_probability = 1.0 - (1.0 - 0.2) * (1.0 - 0.05);
     flaky.duplicate_probability = 0.02;
     sim.faults().SetDefaultLinkFault(flaky);
     sim.faults().CrashNode(2, 60.0, 90.0, CrashKind::kAmnesia);

@@ -2,13 +2,11 @@
 
 #include <cmath>
 #include <cstdint>
-#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/density_model.h"
-#include "stats/kde.h"
 #include "stream/chain_sample.h"
 #include "stream/variance_sketch.h"
 #include "util/rng.h"
@@ -224,121 +222,6 @@ TEST(VarianceSketchSnapshotTest, RestoredSketchContinuesBitIdentically) {
   auto r2 = SnapshotReader::Open(bytes, kTestVersion);
   ASSERT_TRUE(r2.ok());
   EXPECT_FALSE(wrong.Restore(&r2.value()));
-}
-
-TEST(KdeSnapshotTest, DeserializedEstimatorIsIdentical) {
-  Rng rng(31);
-  std::vector<Point> sample;
-  for (int i = 0; i < 200; ++i) {
-    sample.push_back({rng.Gaussian(0.5, 0.1), rng.Gaussian(0.3, 0.05)});
-  }
-  auto original = KernelDensityEstimator::CreateWithScottBandwidths(
-      sample, {0.1, 0.05});
-  ASSERT_TRUE(original.ok());
-
-  SnapshotWriter writer;
-  original.value().Serialize(&writer);
-  const std::vector<uint8_t> bytes = std::move(writer).Finish(kTestVersion);
-  auto reader = SnapshotReader::Open(bytes, kTestVersion);
-  ASSERT_TRUE(reader.ok());
-  auto restored = KernelDensityEstimator::Deserialize(&reader.value());
-  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-
-  EXPECT_EQ(restored.value().sample_size(), original.value().sample_size());
-  EXPECT_EQ(restored.value().bandwidths(), original.value().bandwidths());
-  for (double x = 0.1; x < 0.9; x += 0.17) {
-    for (double y = 0.1; y < 0.9; y += 0.13) {
-      ASSERT_DOUBLE_EQ(restored.value().Pdf({x, y}),
-                       original.value().Pdf({x, y}));
-    }
-  }
-}
-
-TEST(KdeSnapshotTest, FlatLayoutRoundTripsToIdenticalEstimator) {
-  Rng rng(77);
-  std::vector<Point> sample;
-  for (int i = 0; i < 150; ++i) {
-    sample.push_back({rng.UniformDouble(), rng.Gaussian(0.4, 0.1),
-                      rng.UniformDouble(0.2, 0.9)});
-  }
-  auto original =
-      KernelDensityEstimator::Create(sample, {0.07, 0.04, 0.11});
-  ASSERT_TRUE(original.ok());
-
-  SnapshotWriter writer;
-  original.value().Serialize(&writer);
-  const std::vector<uint8_t> bytes = std::move(writer).Finish(kTestVersion);
-  auto reader = SnapshotReader::Open(bytes, kTestVersion);
-  ASSERT_TRUE(reader.ok());
-  auto restored = KernelDensityEstimator::Deserialize(&reader.value());
-  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-
-  // The restored estimator is *identical*, not just equivalent: same
-  // canonical row order in the flat buffer, same primary axis, same
-  // bandwidths — hence bit-identical answers to any query.
-  EXPECT_EQ(restored.value().sample(), original.value().sample());
-  EXPECT_EQ(restored.value().primary_axis(), original.value().primary_axis());
-  EXPECT_EQ(restored.value().bandwidths(), original.value().bandwidths());
-  ASSERT_EQ(restored.value().BoxProbability({0.2, 0.3, 0.25},
-                                            {0.6, 0.5, 0.8}),
-            original.value().BoxProbability({0.2, 0.3, 0.25},
-                                            {0.6, 0.5, 0.8}));
-}
-
-TEST(KdeSnapshotTest, PreFlatLayoutPayloadStillRestores) {
-  // A payload written point-by-point in arbitrary (chain) order — the exact
-  // bytes the vector<Point>-era Serialize() emitted. Deserialize must
-  // accept it and re-canonicalize to the same estimator the same points
-  // produce through Create().
-  const std::vector<Point> chain_order{
-      {0.9, 0.2}, {0.1, 0.8}, {0.5, 0.5}, {0.3, 0.1}};
-  const std::vector<double> bandwidths{0.06, 0.09};
-  SnapshotWriter writer;
-  writer.PutDoubles(bandwidths);
-  writer.PutU32(static_cast<uint32_t>(chain_order.size()));
-  for (const Point& p : chain_order) writer.PutPoint(p);
-  const std::vector<uint8_t> bytes = std::move(writer).Finish(kTestVersion);
-
-  auto reader = SnapshotReader::Open(bytes, kTestVersion);
-  ASSERT_TRUE(reader.ok());
-  auto restored = KernelDensityEstimator::Deserialize(&reader.value());
-  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-
-  auto direct = KernelDensityEstimator::Create(chain_order, bandwidths);
-  ASSERT_TRUE(direct.ok());
-  EXPECT_EQ(restored.value().sample(), direct.value().sample());
-  EXPECT_EQ(restored.value().primary_axis(), direct.value().primary_axis());
-  ASSERT_EQ(restored.value().Pdf({0.45, 0.45}),
-            direct.value().Pdf({0.45, 0.45}));
-}
-
-TEST(KdeSnapshotTest, PointDimensionMismatchIsRejected) {
-  SnapshotWriter writer;
-  writer.PutDoubles({0.05, 0.05});              // two bandwidths...
-  writer.PutU32(1);
-  writer.PutPoint({0.5});                       // ...but a 1-d point
-  const std::vector<uint8_t> bytes = std::move(writer).Finish(kTestVersion);
-  auto reader = SnapshotReader::Open(bytes, kTestVersion);
-  ASSERT_TRUE(reader.ok());
-  auto restored = KernelDensityEstimator::Deserialize(&reader.value());
-  EXPECT_FALSE(restored.ok());
-}
-
-TEST(KdeSnapshotTest, SampleCountBeyondPayloadIsRejectedBeforeReserving) {
-  // A well-framed payload whose sample count claims 2^32 − 1 rows of
-  // d = 8 (≈256 GiB) but carries one. The count must be checked against
-  // the bytes present before it sizes an allocation.
-  const std::vector<double> bandwidths(8, 0.05);
-  SnapshotWriter writer;
-  writer.PutDoubles(bandwidths);
-  writer.PutU32(std::numeric_limits<uint32_t>::max());
-  writer.PutPoint(Point(8, 0.5));
-  const std::vector<uint8_t> bytes = std::move(writer).Finish(kTestVersion);
-  auto reader = SnapshotReader::Open(bytes, kTestVersion);
-  ASSERT_TRUE(reader.ok());
-  auto restored = KernelDensityEstimator::Deserialize(&reader.value());
-  ASSERT_FALSE(restored.ok());
-  EXPECT_EQ(restored.status().code(), Status::Code::kInvalidArgument);
 }
 
 TEST(DensityModelSnapshotTest, RestoredModelContinuesBitIdentically) {
